@@ -22,16 +22,14 @@ lint:
 
 # bench-baseline snapshots the whole benchmark suite (one iteration per
 # benchmark keeps it fast; allocs/op is iteration-count independent) as
-# BENCH_2.json via cmd/benchjson. BENCH_0.json and BENCH_1.json are the
-# previous committed baselines and stay frozen, so `benchjson -diff
-# BENCH_1.json BENCH_2.json` shows the intentional movement between the
-# two newest committed snapshots (here: the zero-alloc hot-path work).
-# Commit the refreshed BENCH_2.json when a PR intentionally moves a hot
-# path; CI re-emits the current run as an artifact so any drift is
+# BENCH.json via cmd/benchjson — the single committed baseline; earlier
+# snapshots live in git history. Commit the refreshed BENCH.json when a
+# PR intentionally moves a hot path; CI diffs the current run against it
+# (`benchjson -diff BENCH.json bench-current.json`) so any drift is
 # visible in review, and `benchjson -gate BENCH_BUDGET.json` holds the
 # headline benchmarks to explicit allocs/op budgets.
 bench-baseline:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x ./... | $(GO) run ./cmd/benchjson > BENCH_2.json
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x ./... | $(GO) run ./cmd/benchjson > BENCH.json
 
 # bench-gate replays the suite and enforces the committed allocs/op
 # budgets — the deterministic benchmark metric — without touching the

@@ -3,7 +3,7 @@
 // (iterations, ns/op, B/op, allocs/op). It reads the benchmark text on
 // stdin and writes JSON to stdout, so a repo-wide baseline is one pipe:
 //
-//	go test -run '^$' -bench . -benchmem -benchtime 1x ./... | benchjson > BENCH_0.json
+//	go test -run '^$' -bench . -benchmem -benchtime 1x ./... | benchjson > BENCH.json
 //
 // The GOMAXPROCS suffix (-8 in BenchmarkFoo-8) is stripped so baselines
 // diff cleanly across machines; the package path prefix keeps same-named
@@ -11,7 +11,7 @@
 //
 // With -diff, benchjson instead compares two baseline files:
 //
-//	benchjson -diff BENCH_0.json bench-current.json
+//	benchjson -diff BENCH.json bench-current.json
 //
 // printing a per-benchmark delta table sorted by ns/op regression
 // (worst first), with added and removed benchmarks called out. The diff

@@ -40,6 +40,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -52,6 +53,7 @@ import (
 	"energyprop/internal/experiment"
 	"energyprop/internal/fault"
 	"energyprop/internal/fleet"
+	"energyprop/internal/launch"
 	"energyprop/internal/policy"
 )
 
@@ -67,26 +69,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	list := fs.Bool("list", false, "list registered experiments")
 	quick := fs.Bool("quick", false, "shrink sweeps for a fast run")
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned text")
-	seed := fs.Int64("seed", 1, "seed for the measurement noise")
-	workers := fs.Int("workers", 0, "parallel campaign workers (0 = one per CPU); any value yields identical results")
 	svgDir := fs.String("svgdir", "", "also render the paper's figures as SVGs into this directory")
 	markdown := fs.String("markdown", "", "write a full markdown report to this file ('-' for stdout)")
 	html := fs.String("html", "", "write a self-contained HTML report (tables + inline figures) to this file")
-	devName := fs.String("device", "", "run a measured campaign on this registered device instead of a named experiment")
-	mode := fs.String("mode", "campaign", `what the -device run measures: "campaign" (plain sweep) or "policy" (race-to-idle vs DVFS-paced energy study)`)
-	slack := fs.Float64("slack", 0, "deadline window as a multiple of the busy interval for -mode policy (0 = 1.5)")
-	floor := fs.Float64("floor", 0, "deep-idle floor as a fraction of active idle power for -mode policy (0 = 0.3)")
-	policies := fs.String("policies", "", "comma-separated strategies for -mode policy: race, paced (empty = both)")
-	app := fs.String("app", "dgemm", "application family for -device campaigns: dgemm, fft, spmv, stencil, or compound")
-	n := fs.Int("n", 4096, "matrix/signal dimension N for -device campaigns")
-	products := fs.Int("products", 2, "total problem instances for -device campaigns")
+	request := requestFlags(fs)
 	reps := fs.Int("reps", 1, "repeat the -device campaign; repeats hit the in-process measurement cache")
-	faultsFlag := fs.String("faults", "", "inject deterministic faults into the -device campaign, e.g. seed=3,transient=0.2,drop=0.1")
-	retries := fs.Int("retries", 0, "extra attempts per point after a failed measurement in the -device campaign")
-	executor := fs.String("executor", "local", `fan-out strategy for the -device campaign: "local" or "fleet"`)
-	nodesFlag := fs.Int("nodes", 0, "simulated fleet size for -executor fleet (0 = 3)")
-	shardSize := fs.Int("shardsize", 0, "configurations per fleet shard (0 = one shard per node)")
-	nodeFaults := fs.String("nodefaults", "", "node-failure schedule for -executor fleet, e.g. seed=9,preempt=0.2,flaky=0.1,slow=0.1")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -94,16 +81,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cli.Errorf(stderr, "epstudy: -reps must be >= 1 (got %d)\n", *reps)
 		return 2
 	}
-	if *retries < 0 {
-		cli.Errorf(stderr, "epstudy: -retries must be >= 0 (got %d)\n", *retries)
-		return 2
+	req, err := request()
+	if err == nil {
+		err = launch.Validate(req)
 	}
-	plan, err := fault.ParsePlan(*faultsFlag)
-	if err != nil {
-		cli.Errorf(stderr, "epstudy: -faults: %v\n", err)
-		return 2
-	}
-	fc, err := resolveFleetFlags(*executor, *nodesFlag, *shardSize, *nodeFaults)
 	if err != nil {
 		cli.Errorf(stderr, "epstudy: %v\n", err)
 		return 2
@@ -118,38 +99,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	opt := experiment.Options{Seed: *seed, Quick: *quick, Workers: *workers}
+	opt := experiment.Options{Seed: req.Seed, Quick: *quick, Workers: req.Workers}
 	var ids []string
 	if *runID != "" && *runID != "all" {
 		ids = []string{*runID}
 	}
 
-	if *mode != "campaign" && *mode != "policy" {
-		cli.Errorf(stderr, "epstudy: -mode %q: want \"campaign\" or \"policy\"\n", *mode)
-		return 2
-	}
-	if *mode != "policy" && (*slack != 0 || *floor != 0 || *policies != "") {
-		cli.Errorf(stderr, "epstudy: -slack, -floor, and -policies require -mode policy\n")
-		return 2
-	}
-	if *mode == "policy" && *devName == "" {
-		cli.Errorf(stderr, "epstudy: -mode policy requires -device\n")
-		return 2
-	}
-
-	if *devName != "" {
+	if req.Device != "" {
 		var tables []*experiment.Table
-		if *mode == "policy" {
-			strategies, perr := parsePolicies(*policies)
-			if perr != nil {
-				cli.Errorf(stderr, "epstudy: %v\n", perr)
-				return 2
-			}
-			popts := policy.Options{Strategies: strategies, Slack: *slack, FloorFrac: *floor}
-			tables, err = runPolicyStudy(*devName, *app, *n, *products, *reps, *retries, popts, plan, fc, opt)
+		if req.Policy != nil {
+			tables, err = runPolicyStudy(req, *reps)
 		} else {
 			var t *experiment.Table
-			t, err = runDeviceCampaign(*devName, *app, *n, *products, *reps, *retries, plan, fc, opt)
+			t, err = runDeviceCampaign(req, *reps)
 			tables = []*experiment.Table{t}
 		}
 		if err != nil {
@@ -253,59 +215,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 // byte-identical (the points are pure functions of device, workload,
 // config, and seed) and skip every device run and meter loop.
 //
-// A non-empty fault plan wraps the device in the deterministic injector
-// and turns on graceful degradation: surviving points gain an attempts
-// column, exhausted points become table notes, and the measured values
-// of every survivor stay byte-identical to the fault-free campaign.
-func runDeviceCampaign(name, app string, n, products, reps, retries int, plan fault.Plan, fc fleetConfig, opt experiment.Options) (*experiment.Table, error) {
-	dev, err := device.Open(name)
+// A non-empty fault plan or a retry budget turns on graceful
+// degradation: surviving points gain an attempts column, exhausted
+// points become table notes, and the measured values of every survivor
+// stay byte-identical to the fault-free campaign.
+func runDeviceCampaign(req launch.Request, reps int) (*experiment.Table, error) {
+	st, spec, err := openCampaign(req, reps)
 	if err != nil {
 		return nil, err
 	}
-	var injector *fault.Device
-	if plan.Enabled() && !fc.enabled {
-		// In fleet mode the injector moves into the nodes: each one wraps
-		// its own device instance with a per-node derived schedule.
-		if injector, err = fault.Wrap(dev, plan); err != nil {
-			return nil, err
-		}
-		dev = injector
-	}
-	chaos := plan.Enabled() || retries > 0
-	w := device.Workload{App: app, N: n, Products: products}.Normalized()
-	configs, err := dev.Configs(w)
-	if err != nil {
-		return nil, err
-	}
-	spec := campaign.DefaultSpec(opt.Seed)
-	spec.Workers = opt.Workers
-	spec.Cache = campaign.NewPointCache(0)
-	if chaos {
-		spec.Retry = fault.RetryPolicy{MaxAttempts: retries + 1}
-		spec.ContinueOnError = true
-	}
-	var coord *fleet.Coordinator
-	if fc.enabled {
-		coord, err = fleet.ForDevice(name, plan, fleet.Options{
-			Nodes:       fc.nodes,
-			ShardSize:   fc.shardSize,
-			Parallelism: opt.Workers,
-			Chaos:       fc.chaos,
-		})
-		if err != nil {
-			return nil, err
-		}
-		spec.Executor = fleet.Executor{Coord: coord}
-	}
-	// Warm reps stream into Discard: they exist to exercise the point
-	// cache, not to tabulate twice.
-	for r := 0; r < reps-1; r++ {
-		if err := campaign.Stream(context.Background(), dev, w, configs, spec, campaign.Discard); err != nil {
-			return nil, err
-		}
-	}
+	chaos := spec.ContinueOnError
 	t := &experiment.Table{
-		Title:   fmt.Sprintf("Measured campaign on %s (%s), %s", dev.Spec().CatalogName, dev.Kind(), w),
+		Title:   fmt.Sprintf("Measured campaign on %s (%s), %s", st.Device.Spec().CatalogName, st.Device.Kind(), st.Workload),
 		Columns: []string{"config", "key", "seconds", "measured_j", "ci_halfwidth_j", "runs"},
 	}
 	// The attempts column only appears in chaos mode so fault-free table
@@ -337,14 +258,42 @@ func runDeviceCampaign(name, app string, n, products, reps, retries int, plan fa
 		t.AddRow(row...)
 		return nil
 	}}
-	if err := campaign.Stream(context.Background(), dev, w, configs, spec, sink); err != nil {
+	if err := campaign.Stream(context.Background(), st.Device, st.Workload, st.Configs, spec, sink); err != nil {
 		return nil, err
 	}
 	if chaos && survivors == 0 {
 		return nil, fmt.Errorf("all %d points failed within the retry budget", len(failed))
 	}
 	t.AddNote("campaign cost: %d total runs across %d configurations (seed %d)",
-		totalRuns, survivors, opt.Seed)
+		totalRuns, survivors, req.Seed)
+	addRunNotes(t, st, spec, reps, failed)
+	return t, nil
+}
+
+// openCampaign opens a -device campaign's stack and spec: a fresh point
+// cache, graceful degradation when faults or a retry budget are in play,
+// and reps-1 warm runs streamed into Discard — they exist to exercise
+// the point cache, not to tabulate twice.
+func openCampaign(req launch.Request, reps int) (*launch.Stack, campaign.Spec, error) {
+	st, err := launch.Open(req)
+	if err != nil {
+		return nil, campaign.Spec{}, err
+	}
+	spec := st.Spec
+	spec.Cache = campaign.NewPointCache(0)
+	spec.ContinueOnError = req.Faults.Enabled() || req.Retries > 0
+	for r := 0; r < reps-1; r++ {
+		if err := campaign.Stream(context.Background(), st.Device, st.Workload, st.Configs, spec, campaign.Discard); err != nil {
+			return nil, spec, err
+		}
+	}
+	return st, spec, nil
+}
+
+// addRunNotes appends the notes every -device table ends with: the cache
+// counters over warm reps, the failed points, the local fault injector's
+// counters, and the fleet's control-plane activity.
+func addRunNotes(t *experiment.Table, st *launch.Stack, spec campaign.Spec, reps int, failed []campaign.PointFailure) {
 	if reps > 1 {
 		s := spec.Cache.Stats()
 		t.AddNote("cache over %d reps: hits=%d misses=%d dedups=%d evictions=%d",
@@ -353,8 +302,8 @@ func runDeviceCampaign(name, app string, n, products, reps, retries int, plan fa
 	for _, f := range failed {
 		t.AddNote("failed: %s attempts=%d err=%v", f.Config.Key(), f.Attempts, f.Err)
 	}
-	if injector != nil {
-		s := injector.Stats()
+	coord := st.Coord
+	if s, n := st.FaultStats(); n > 0 && coord == nil {
 		t.AddNote("faults: runs=%d transients=%d drops=%d outliers=%d delays=%d",
 			s.Runs, s.Transients, s.Drops, s.Outliers, s.Delays)
 	}
@@ -364,39 +313,65 @@ func runDeviceCampaign(name, app string, n, products, reps, retries int, plan fa
 			coord.Options().Nodes, s.Shards, s.Dispatches, s.Preemptions, s.Cordons, s.Remediations)
 		t.AddNote("fleet events: %d entries, digest %s", len(coord.Events()), fleet.DigestEvents(coord.Events()))
 	}
-	return t, nil
 }
 
-// fleetConfig is the resolved -executor flag group.
-type fleetConfig struct {
-	enabled   bool
-	nodes     int
-	shardSize int
-	chaos     fleet.Chaos
-}
-
-// resolveFleetFlags validates the -executor flag group. The fleet
-// sizing and chaos flags are rejected under -executor local so a typo'd
-// chaos run cannot silently fall back to a calm local pool.
-func resolveFleetFlags(executor string, nodes, shardSize int, nodeFaults string) (fleetConfig, error) {
-	switch executor {
-	case "local", "":
-		if nodes != 0 || shardSize != 0 || nodeFaults != "" {
-			return fleetConfig{}, fmt.Errorf(`-nodes, -shardsize, and -nodefaults require -executor fleet`)
+// requestFlags registers the flags that describe a -device campaign and
+// returns the function that, once the flags are parsed, assembles them
+// into a launch.Request. -seed and -workers also drive the built-in
+// experiments.
+func requestFlags(fs *flag.FlagSet) func() (launch.Request, error) {
+	seed := fs.Int64("seed", 1, "seed for the measurement noise")
+	workers := fs.Int("workers", 0, "parallel campaign workers (0 = one per CPU); any value yields identical results")
+	devName := fs.String("device", "", "run a measured campaign on this registered device instead of a named experiment")
+	mode := fs.String("mode", "campaign", `what the -device run measures: "campaign" (plain sweep) or "policy" (race-to-idle vs DVFS-paced energy study)`)
+	slack := fs.Float64("slack", 0, "deadline window as a multiple of the busy interval for -mode policy (0 = 1.5)")
+	floor := fs.Float64("floor", 0, "deep-idle floor as a fraction of active idle power for -mode policy (0 = 0.3)")
+	policies := fs.String("policies", "", "comma-separated strategies for -mode policy: race, paced (empty = both)")
+	app := fs.String("app", "dgemm", "application family for -device campaigns: dgemm, fft, spmv, stencil, or compound")
+	n := fs.Int("n", 4096, "matrix/signal dimension N for -device campaigns")
+	products := fs.Int("products", 2, "total problem instances for -device campaigns")
+	faults := fs.String("faults", "", "inject deterministic faults into the -device campaign, e.g. seed=3,transient=0.2,drop=0.1")
+	retries := fs.Int("retries", 0, "extra attempts per point after a failed measurement in the -device campaign")
+	executor := fs.String("executor", "local", `fan-out strategy for the -device campaign: "local" or "fleet"`)
+	nodes := fs.Int("nodes", 0, fmt.Sprintf("simulated fleet size for -executor fleet (0 = %d)", launch.DefaultNodes))
+	shardSize := fs.Int("shardsize", 0, "configurations per fleet shard (0 = one shard per node)")
+	nodeFaults := fs.String("nodefaults", "", "node-failure schedule for -executor fleet, e.g. seed=9,preempt=0.2,flaky=0.1,slow=0.1")
+	return func() (launch.Request, error) {
+		plan, err := fault.ParsePlan(*faults)
+		if err != nil {
+			return launch.Request{}, fmt.Errorf("-faults: %w", err)
 		}
-		return fleetConfig{}, nil
-	case "fleet":
-	default:
-		return fleetConfig{}, fmt.Errorf(`-executor %q: want "local" or "fleet"`, executor)
+		chaos, err := fleet.ParseChaos(*nodeFaults)
+		if err != nil {
+			return launch.Request{}, fmt.Errorf("-nodefaults: %w", err)
+		}
+		req := launch.Request{
+			Device:    *devName,
+			Workload:  device.Workload{App: *app, N: *n, Products: *products},
+			Seed:      *seed,
+			Workers:   *workers,
+			Retries:   *retries,
+			Faults:    plan,
+			Executor:  *executor,
+			Nodes:     *nodes,
+			ShardSize: *shardSize,
+			Chaos:     chaos,
+		}
+		switch {
+		case *mode != "campaign" && *mode != "policy":
+			return req, fmt.Errorf(`-mode %q: want "campaign" or "policy"`, *mode)
+		case *mode == "campaign":
+			if *slack != 0 || *floor != 0 || *policies != "" {
+				return req, errors.New("-slack, -floor, and -policies require -mode policy")
+			}
+			return req, nil
+		case *devName == "":
+			return req, errors.New("-mode policy requires -device")
+		}
+		strategies, err := parsePolicies(*policies)
+		req.Policy = &policy.Options{Strategies: strategies, Slack: *slack, FloorFrac: *floor}
+		return req, err
 	}
-	chaos, err := fleet.ParseChaos(nodeFaults)
-	if err != nil {
-		return fleetConfig{}, fmt.Errorf("-nodefaults: %w", err)
-	}
-	if nodes == 0 {
-		nodes = 3
-	}
-	return fleetConfig{enabled: true, nodes: nodes, shardSize: shardSize, chaos: chaos}, nil
 }
 
 // writeSVGs renders the figure images into dir.

@@ -1,0 +1,52 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"flag"
+	"io"
+	"reflect"
+	"testing"
+
+	"energyprop/internal/service"
+)
+
+// TestRequestMatchesSweepJSON: the campaign settings given as epstudy
+// flags — a policy study under device faults on a chaos-ridden fleet —
+// parse to the same launch.Request as the equivalent /sweep body.
+func TestRequestMatchesSweepJSON(t *testing.T) {
+	fs := flag.NewFlagSet("epstudy", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	request := requestFlags(fs)
+	if err := fs.Parse([]string{
+		"-device", "haswell", "-app", "stencil", "-n", "96", "-products", "2", "-workers", "3",
+		"-seed", "11", "-mode", "policy", "-policies", "race", "-slack", "2", "-floor", "0.4",
+		"-retries", "2", "-faults", "seed=7,transient=0.2,drop=0.1,latency=3ms",
+		"-executor", "fleet", "-nodes", "5", "-shardsize", "4",
+		"-nodefaults", "seed=9,preempt=0.2,flaky=0.1,slow=0.3,slowticks=2",
+	}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := request()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body service.SweepRequest
+	dec := json.NewDecoder(bytes.NewReader([]byte(`{
+		"device": "haswell", "workload": {"app": "stencil", "N": 96, "Products": 2}, "workers": 3,
+		"seed": 11, "policy": "race", "slack": 2, "floor": 0.4,
+		"retries": 2, "faults": {"seed": 7, "transient": 0.2, "drop": 0.1, "latency_ms": 3},
+		"executor": "fleet", "nodes": 5, "shard_size": 4,
+		"node_faults": {"seed": 9, "preempt": 0.2, "flaky": 0.1, "slow": 0.3, "slow_ticks": 2}}`)))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	want, err := body.Request()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("flags parse to\n%+v\nthe /sweep body to\n%+v", got, want)
+	}
+}

@@ -39,18 +39,19 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"os/signal"
 	"strconv"
-	"sync"
 
 	"energyprop/internal/cli"
 	"energyprop/internal/device"
 	"energyprop/internal/fault"
 	"energyprop/internal/fleet"
+	"energyprop/internal/launch"
 	"energyprop/internal/memo"
 	"energyprop/internal/parallel"
 	"energyprop/internal/pareto"
@@ -69,21 +70,11 @@ func main() {
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("gpusweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	devName := fs.String("device", "p100", "registered device to sweep (see -list)")
-	app := fs.String("app", "dgemm", "application family: dgemm, fft, spmv, stencil, or compound")
-	n := fs.Int("n", 10240, "matrix/signal dimension N")
-	products := fs.Int("products", 8, "total problem instances (G·R on a GPU)")
+	request := requestFlags(fs)
 	fronts := fs.Bool("fronts", false, "print Pareto fronts and trade-offs after the CSV")
 	jsonOut := fs.String("json", "", "also persist the sweep as JSON to this file")
-	workers := fs.Int("workers", 0, "parallel sweep workers (0 = one per CPU)")
 	reps := fs.Int("reps", 1, "repeat the sweep; repeats hit the in-process outcome cache")
 	cachestats := fs.Bool("cachestats", false, "append outcome-cache counters as CSV comments")
-	faultsFlag := fs.String("faults", "", "inject deterministic faults, e.g. seed=7,transient=0.2,drop=0.1,outlier=0.05,latency=2ms")
-	retries := fs.Int("retries", 0, "extra attempts per configuration after a failed run")
-	executor := fs.String("executor", "local", `fan-out strategy: "local" or "fleet"`)
-	nodesFlag := fs.Int("nodes", 0, "simulated fleet size for -executor fleet (0 = 3)")
-	shardSize := fs.Int("shardsize", 0, "configurations per fleet shard (0 = one shard per node)")
-	nodeFaults := fs.String("nodefaults", "", "node-failure schedule for -executor fleet, e.g. seed=9,preempt=0.2,flaky=0.1,slow=0.1")
 	list := fs.Bool("list", false, "list the registered devices and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -92,16 +83,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		cli.Errorf(stderr, "gpusweep: -reps must be >= 1 (got %d)\n", *reps)
 		return 2
 	}
-	if *retries < 0 {
-		cli.Errorf(stderr, "gpusweep: -retries must be >= 0 (got %d)\n", *retries)
-		return 2
+	req, err := request()
+	if err == nil {
+		err = launch.Validate(req)
 	}
-	plan, err := fault.ParsePlan(*faultsFlag)
-	if err != nil {
-		cli.Errorf(stderr, "gpusweep: -faults: %v\n", err)
-		return 2
-	}
-	fc, err := resolveFleetFlags(*executor, *nodesFlag, *shardSize, *nodeFaults)
 	if err != nil {
 		cli.Errorf(stderr, "gpusweep: %v\n", err)
 		return 2
@@ -130,50 +115,28 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return done()
 	}
 
-	dev, err := device.Open(*devName)
+	st, err := launch.Open(req)
 	if err != nil {
 		cli.Errorf(stderr, "gpusweep: %v\n", err)
+		// A workload the device cannot sweep fails the run; a device that
+		// cannot be opened is a usage error.
+		if errors.Is(err, launch.ErrWorkload) {
+			return 1
+		}
 		return 2
 	}
-	// Model-true sweeps want the constant analytic profile where the
-	// backend distinguishes it from the traced one.
-	if ap, ok := dev.(device.AnalyticProvider); ok {
-		dev = ap.Analytic()
-	}
-	// The fault injector wraps the device after the analytic conversion so
-	// the injected schedule applies to exactly the runs the sweep makes.
-	// It keeps the inner device's identity, so the outcome cache stays
-	// keyed by the real device and errors are never cached — a retried
-	// run re-executes and, when it succeeds, is byte-identical to the
-	// fault-free sweep.
-	var injector *fault.Device
-	if plan.Enabled() && !fc.enabled {
-		// In fleet mode the injector moves into the nodes (each wraps its
-		// own instance with a per-node derived schedule), so the reference
-		// device stays clean here.
-		injector, err = fault.Wrap(dev, plan)
-		if err != nil {
-			cli.Errorf(stderr, "gpusweep: -faults: %v\n", err)
-			return 2
-		}
-		dev = injector
-	}
-	policy := fault.RetryPolicy{MaxAttempts: *retries + 1}
-
-	workload := device.Workload{App: *app, N: *n, Products: *products}.Normalized()
-	configs, err := dev.Configs(workload)
-	if err != nil {
-		cli.Errorf(stderr, "gpusweep: %v\n", err)
-		return 1
-	}
+	dev, workload, configs := st.Device, st.Workload, st.Configs
 	// Every run goes through the outcome cache, so -reps reruns (and any
 	// duplicate configurations) collapse to one simulator invocation per
 	// distinct point; the runs are deterministic, so a cached outcome is
-	// identical to a fresh one.
+	// identical to a fresh one. The fault injector keeps the inner
+	// device's identity, so the cache stays keyed by the real device and
+	// errors are never cached — a retried run re-executes and, when it
+	// succeeds, is byte-identical to the fault-free sweep.
 	cache := memo.New[*device.Outcome](0)
 	measure := func(ctx context.Context, dev device.Device, i int) (sweepPoint, error) {
 		var o *device.Outcome
-		attempts, err := policy.Do(ctx, device.ConfigSeed(plan.Seed, configs[i]), func(int) error {
+		attempts, err := st.Spec.Retry.Do(ctx, device.ConfigSeed(req.Faults.Seed, configs[i]), func(int) error {
 			var aerr error
 			o, _, aerr = cache.Do(outcomeKey(dev, workload, configs[i]), func() (*device.Outcome, error) {
 				return dev.Run(ctx, workload, configs[i])
@@ -188,58 +151,16 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 		return sweepPoint{outcome: o, attempts: attempts}, nil
 	}
-	// nodeInjectors collects the per-node fault injectors a fleet sweep
-	// creates, so the "# faults:" comment can aggregate their counters.
-	var nodeInjectors struct {
-		sync.Mutex
-		devs []*fault.Device
-	}
-	var coord *fleet.Coordinator
-	if fc.enabled {
-		name := *devName
-		factory := func(node string) (device.Device, error) {
-			d, err := device.Open(name)
-			if err != nil {
-				return nil, err
-			}
-			// Mirror the reference device's analytic conversion so node
-			// outcomes (and cache keys) match the local sweep exactly.
-			if ap, ok := d.(device.AnalyticProvider); ok {
-				d = ap.Analytic()
-			}
-			if !plan.Enabled() {
-				return d, nil
-			}
-			inj, err := fault.Wrap(d, fleet.NodePlan(plan, node))
-			if err != nil {
-				return nil, err
-			}
-			nodeInjectors.Lock()
-			nodeInjectors.devs = append(nodeInjectors.devs, inj)
-			nodeInjectors.Unlock()
-			return inj, nil
-		}
-		coord, err = fleet.New(fleet.Options{
-			Nodes:       fc.nodes,
-			ShardSize:   fc.shardSize,
-			Parallelism: *workers,
-			Chaos:       fc.chaos,
-		}, factory)
-		if err != nil {
-			cli.Errorf(stderr, "gpusweep: %v\n", err)
-			return 2
-		}
-	}
 	// The sweep streams: outcomes are committed in configuration order
 	// the moment their turn completes, so CSV rows, the JSON record, and
 	// the Pareto front build incrementally instead of materializing a
 	// []sweepPoint first. Warm -reps drive the cache through a
 	// discarding commit; only the final rep emits.
 	runRep := func(commit func(int, sweepPoint) error) error {
-		if coord != nil {
-			return fleet.Each(ctx, coord, len(configs), measure, commit)
+		if st.Coord != nil {
+			return fleet.Each(ctx, st.Coord, len(configs), measure, commit)
 		}
-		return parallel.Each(ctx, *workers, len(configs), func(ctx context.Context, i int) (sweepPoint, error) {
+		return parallel.Each(ctx, req.Workers, len(configs), func(ctx context.Context, i int) (sweepPoint, error) {
 			return measure(ctx, dev, i)
 		}, commit)
 	}
@@ -267,7 +188,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	// Attempt counts are provenance, not measurement, and only enter the
 	// record when the fault/retry machinery is active so fault-free
 	// records stay byte-identical to earlier versions.
-	withAttempts := plan.Enabled() || *retries > 0
+	withAttempts := req.Faults.Enabled() || req.Retries > 0
 
 	out.Println("config,seconds,dyn_power_w,dyn_energy_j")
 	front := make([]pareto.Point, 0, len(configs))
@@ -338,24 +259,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	for _, f := range failedRows {
 		out.Printf("# failed: %s attempts=%d err=%v\n", f.key, f.attempts, f.err)
 	}
-	if injector != nil {
-		s := injector.Stats()
-		out.Printf("# faults: runs=%d transients=%d drops=%d outliers=%d delays=%d survivors=%d failed=%d\n",
-			s.Runs, s.Transients, s.Drops, s.Outliers, s.Delays, survivors, failed)
-	} else if nodeInjectors.devs != nil {
-		var s fault.Stats
-		for _, inj := range nodeInjectors.devs {
-			is := inj.Stats()
-			s.Runs += is.Runs
-			s.Transients += is.Transients
-			s.Drops += is.Drops
-			s.Outliers += is.Outliers
-			s.Delays += is.Delays
+	if s, n := st.FaultStats(); n > 0 {
+		where := ""
+		if st.Coord != nil {
+			where = fmt.Sprintf(" (aggregated over %d node injectors)", n)
 		}
-		out.Printf("# faults: runs=%d transients=%d drops=%d outliers=%d delays=%d survivors=%d failed=%d (aggregated over %d node injectors)\n",
-			s.Runs, s.Transients, s.Drops, s.Outliers, s.Delays, survivors, failed, len(nodeInjectors.devs))
+		out.Printf("# faults: runs=%d transients=%d drops=%d outliers=%d delays=%d survivors=%d failed=%d%s\n",
+			s.Runs, s.Transients, s.Drops, s.Outliers, s.Delays, survivors, failed, where)
 	}
-	if coord != nil {
+	if coord := st.Coord; coord != nil {
 		s := coord.Stats()
 		out.Printf("# fleet: nodes=%d shards=%d dispatches=%d preemptions=%d cordons=%d remediations=%d digest=%s\n",
 			coord.Options().Nodes, s.Shards, s.Dispatches, s.Preemptions, s.Cordons, s.Remediations,
@@ -398,36 +310,43 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	return done()
 }
 
-// fleetConfig is the resolved -executor flag group.
-type fleetConfig struct {
-	enabled   bool
-	nodes     int
-	shardSize int
-	chaos     fleet.Chaos
-}
-
-// resolveFleetFlags validates the -executor flag group. The fleet
-// sizing and chaos flags are rejected under -executor local so a typo'd
-// chaos run cannot silently fall back to a calm local pool.
-func resolveFleetFlags(executor string, nodes, shardSize int, nodeFaults string) (fleetConfig, error) {
-	switch executor {
-	case "local", "":
-		if nodes != 0 || shardSize != 0 || nodeFaults != "" {
-			return fleetConfig{}, fmt.Errorf(`-nodes, -shardsize, and -nodefaults require -executor fleet`)
+// requestFlags registers the flags that describe the sweep and returns
+// the function that, once the flags are parsed, assembles them into a
+// launch.Request for the model-true sweep.
+func requestFlags(fs *flag.FlagSet) func() (launch.Request, error) {
+	devName := fs.String("device", "p100", "registered device to sweep (see -list)")
+	app := fs.String("app", "dgemm", "application family: dgemm, fft, spmv, stencil, or compound")
+	n := fs.Int("n", 10240, "matrix/signal dimension N")
+	products := fs.Int("products", 8, "total problem instances (G·R on a GPU)")
+	workers := fs.Int("workers", 0, "parallel sweep workers (0 = one per CPU)")
+	faults := fs.String("faults", "", "inject deterministic faults, e.g. seed=7,transient=0.2,drop=0.1,outlier=0.05,latency=2ms")
+	retries := fs.Int("retries", 0, "extra attempts per configuration after a failed run")
+	executor := fs.String("executor", "local", `fan-out strategy: "local" or "fleet"`)
+	nodes := fs.Int("nodes", 0, fmt.Sprintf("simulated fleet size for -executor fleet (0 = %d)", launch.DefaultNodes))
+	shardSize := fs.Int("shardsize", 0, "configurations per fleet shard (0 = one shard per node)")
+	nodeFaults := fs.String("nodefaults", "", "node-failure schedule for -executor fleet, e.g. seed=9,preempt=0.2,flaky=0.1,slow=0.1")
+	return func() (launch.Request, error) {
+		plan, err := fault.ParsePlan(*faults)
+		if err != nil {
+			return launch.Request{}, fmt.Errorf("-faults: %w", err)
 		}
-		return fleetConfig{}, nil
-	case "fleet":
-	default:
-		return fleetConfig{}, fmt.Errorf(`-executor %q: want "local" or "fleet"`, executor)
+		chaos, err := fleet.ParseChaos(*nodeFaults)
+		if err != nil {
+			return launch.Request{}, fmt.Errorf("-nodefaults: %w", err)
+		}
+		return launch.Request{
+			Device:    *devName,
+			Workload:  device.Workload{App: *app, N: *n, Products: *products},
+			Workers:   *workers,
+			Retries:   *retries,
+			Faults:    plan,
+			Analytic:  true,
+			Executor:  *executor,
+			Nodes:     *nodes,
+			ShardSize: *shardSize,
+			Chaos:     chaos,
+		}, nil
 	}
-	chaos, err := fleet.ParseChaos(nodeFaults)
-	if err != nil {
-		return fleetConfig{}, fmt.Errorf("-nodefaults: %w", err)
-	}
-	if nodes == 0 {
-		nodes = 3
-	}
-	return fleetConfig{enabled: true, nodes: nodes, shardSize: shardSize, chaos: chaos}, nil
 }
 
 // sweepPoint is one configuration's sweep outcome: either a measured

@@ -169,10 +169,10 @@ func New(opts Options, factory DeviceFactory) (*Coordinator, error) {
 }
 
 // ForDevice builds a coordinator whose nodes each host a fresh registry
-// instance of the named device — the common construction for the
-// service and the CLIs. devicePlan, when enabled, layers deterministic
-// device-level faults (fault.Plan) on every node with per-node derived
-// plan seeds.
+// instance of the named device. devicePlan, when enabled, layers
+// deterministic device-level faults (fault.Plan) on every node with
+// per-node derived plan seeds. Front ends build their fleets through
+// internal/launch, which layers policies and the analytic profile too.
 func ForDevice(name string, devicePlan fault.Plan, opts Options) (*Coordinator, error) {
 	return New(opts, RegistryFactory(name, devicePlan))
 }

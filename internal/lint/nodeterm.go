@@ -21,6 +21,7 @@ var determScoped = map[string]bool{
 	"energyprop/internal/experiment": true,
 	"energyprop/internal/fault":      true,
 	"energyprop/internal/fleet":      true,
+	"energyprop/internal/launch":     true,
 	"energyprop/internal/policy":     true,
 	"energyprop/internal/workload":   true,
 }

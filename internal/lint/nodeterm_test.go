@@ -27,6 +27,22 @@ func bad() (int64, float64) {
 	})
 }
 
+func TestNoDetermCoversCampaignLaunch(t *testing.T) {
+	// internal/launch carries the request seed and derives the per-node
+	// fault plans, so it is under the determinism contract too.
+	src := `package launch
+
+import "time"
+
+func stamp() int64 {
+	return time.Now().UnixNano()
+}
+`
+	checkFixture(t, []Rule{NoDeterm{}}, "energyprop/internal/launch", src, []want{
+		{line: 6, rule: "nodeterm", substr: "time.Now"},
+	})
+}
+
 func TestNoDetermAllowsSeededGeneratorsAndInjectedClocks(t *testing.T) {
 	src := `package meter
 

@@ -21,17 +21,19 @@ var seedFlowScoped = map[string]bool{
 	"energyprop/internal/service":  true,
 	"energyprop/internal/fault":    true,
 	"energyprop/internal/fleet":    true,
+	"energyprop/internal/launch":   true,
 	"energyprop/internal/policy":   true,
 }
 
 // seedFlowStrict is the subset of scoped packages where device.ConfigSeed
-// is the only blessed source: campaign and service code sit above the
-// device abstraction, so any generator seed they hand off must carry
-// taint from the hashed (seed, config) identity. Meter, device, fault,
+// is the only blessed source: campaign, launch, and service code sit
+// above the device abstraction, so any generator seed they hand off must
+// carry taint from the hashed (seed, config) identity. Meter, device, fault,
 // and fleet stay on the lenient rule — they are the layers that *receive*
 // an already-derived seed value.
 var seedFlowStrict = map[string]bool{
 	"energyprop/internal/campaign": true,
+	"energyprop/internal/launch":   true,
 	"energyprop/internal/service":  true,
 }
 

@@ -119,6 +119,10 @@ func TestSweepFleetKnobValidation(t *testing.T) {
 			"executor":    "fleet",
 			"node_faults": map[string]any{"seed": 1, "preempt": 1.5},
 		}},
+		{"bad device fault plan", map[string]any{
+			"executor": "fleet",
+			"faults":   map[string]any{"seed": 1, "transient": 2},
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -71,6 +71,10 @@ var fuzzSeeds = []string{
 	`{"device":"p100","workload":{"N":1024,"Products":2},"policy":"paced","floor":0.96}`,
 	`{"device":"p100","workload":{"N":1024,"Products":2},"policy":"paced","floor":-0.1}`,
 	`{"device":"p100","workload":{"N":1024,"Products":2},"policy":"race","slack":1e308}`,
+	`{"device":"p100","workload":{"N":1024,"Products":2},"seed":3,"executor":"fleet","nodes":3,"shard_size":2,"node_faults":{"seed":9,"preempt":0.3,"flaky":0.2}}`,
+	`{"device":"p100","workload":{"N":1024,"Products":2},"executor":"fleet","faults":{"seed":1,"transient":2}}`,
+	`{"device":"p100","workload":{"N":1024,"Products":2},"nodes":2,"shard_size":1,"node_faults":{"seed":4,"slow":0.5}}`,
+	`{"device":"p100","workload":{"N":1024,"Products":2},"executor":"fleet","nodes":100000}`,
 }
 
 // checkResponse is the property both fuzzers assert: the decoder and

@@ -88,6 +88,7 @@ import (
 	"energyprop/internal/device"
 	"energyprop/internal/fault"
 	"energyprop/internal/fleet"
+	"energyprop/internal/launch"
 	"energyprop/internal/memo"
 	"energyprop/internal/parindex"
 	"energyprop/internal/policy"
@@ -116,10 +117,9 @@ const (
 	// requests should be split, not parked on a handler goroutine.
 	MaxRequestTimeoutMS = 10 * 60 * 1000
 	// MaxRequestNodes caps the simulated fleet size of an
-	// executor:"fleet" sweep; DefaultRequestNodes is used when the
+	// executor:"fleet" sweep; launch.DefaultNodes is used when the
 	// request does not name one.
-	MaxRequestNodes     = 64
-	DefaultRequestNodes = 4
+	MaxRequestNodes = 64
 	// MaxRequestSlack caps the policy deadline window (as a multiple of
 	// the busy interval): the meter integrates the whole window, so the
 	// slack multiplies the samples per point.
@@ -136,14 +136,30 @@ const (
 // a client-side abort.
 const StatusClientClosedRequest = 499
 
-// checkWorkloadLimits rejects workloads that validate structurally but
-// exceed the service's resource envelope.
-func checkWorkloadLimits(w device.Workload) error {
-	if w.N > MaxRequestN {
-		return fmt.Errorf("workload N=%d exceeds service limit %d", w.N, MaxRequestN)
+// checkLimits applies the service's resource envelope to a validated
+// request: the caps below bound what one request may cost on every
+// backend. The CLIs share the request type and its Validate but not
+// these caps.
+func checkLimits(req launch.Request) error {
+	var slack, floor float64
+	if p := req.Policy; p != nil {
+		slack, floor = p.Slack, p.FloorFrac
 	}
-	if w.Products > MaxRequestProducts {
-		return fmt.Errorf("workload Products=%d exceeds service limit %d", w.Products, MaxRequestProducts)
+	for _, c := range []struct {
+		name   string
+		v, max float64
+	}{
+		{"workload N", float64(req.Workload.N), MaxRequestN},
+		{"workload Products", float64(req.Workload.Products), MaxRequestProducts},
+		{"workers", float64(req.Workers), MaxRequestWorkers},
+		{"retries", float64(req.Retries), MaxRequestRetries},
+		{"nodes", float64(req.Nodes), MaxRequestNodes},
+		{"slack", slack, MaxRequestSlack},
+		{"floor", floor, MaxRequestFloor},
+	} {
+		if c.v > c.max {
+			return fmt.Errorf("%s=%v exceeds service limit %v", c.name, c.v, c.max)
+		}
 	}
 	return nil
 }
@@ -202,13 +218,18 @@ func New() *Server {
 	return s
 }
 
-// campaignSpec builds the request's campaign spec: the shared cache is
-// attached unless the client opted out with "nocache".
-func (s *Server) campaignSpec(seed int64, nocache bool) campaign.Spec {
-	spec := campaign.DefaultSpec(seed)
+// campaignSpec completes an opened request's campaign spec: the shared
+// cache is attached unless the client opted out with "nocache", and
+// failed points degrade the reply instead of aborting the campaign.
+// Service retries are immediate (no backoff sleep): the request deadline
+// bounds total time, and parking a handler goroutine in sleeps would
+// only burn it.
+func (s *Server) campaignSpec(st *launch.Stack, nocache bool) campaign.Spec {
+	spec := st.Spec
 	if !nocache {
 		spec.Cache = s.cache
 	}
+	spec.ContinueOnError = true
 	return spec
 }
 
@@ -313,33 +334,6 @@ func requestContext(r *http.Request, timeoutMS int64) (context.Context, context.
 	return ctx, cancel, nil
 }
 
-// retryPolicy validates a request's retry budget. Service retries are
-// immediate (no backoff sleep): the request deadline bounds total time,
-// and parking a handler goroutine in sleeps would only burn it.
-func retryPolicy(retries int) (fault.RetryPolicy, error) {
-	if retries < 0 || retries > MaxRequestRetries {
-		return fault.RetryPolicy{}, fmt.Errorf("retries=%d out of range 0..%d", retries, MaxRequestRetries)
-	}
-	return fault.RetryPolicy{MaxAttempts: retries + 1}, nil
-}
-
-// wrapFaults applies a request's fault schedule to the opened device.
-// A fault-wrapped device may share the point cache with its registry
-// twin: injected faults fail loudly and never shift measured floats, so
-// any value that reaches the cache is the clean one.
-func wrapFaults(dev device.Device, req *FaultRequest) (device.Device, error) {
-	if req == nil {
-		return dev, nil
-	}
-	// Bound the injected latency by the maximum request deadline: an
-	// uncapped latency_ms would let one request park a handler (and its
-	// device runs) for arbitrary wall-clock time.
-	if math.IsNaN(req.LatencyMS) || req.LatencyMS < 0 || req.LatencyMS > MaxRequestTimeoutMS {
-		return nil, fmt.Errorf("faults.latency_ms %v out of [0, %d]", req.LatencyMS, MaxRequestTimeoutMS)
-	}
-	return fault.Wrap(dev, req.plan())
-}
-
 // PolicyParams are the optional energy-policy fields shared by /measure
 // and /sweep. A named policy wraps the device before configurations are
 // enumerated, so every configuration key gains a "pol=…/s=…/f=…/"
@@ -357,33 +351,38 @@ type PolicyParams struct {
 	Floor float64 `json:"floor,omitempty"`
 }
 
-// options validates the policy fields and resolves them to wrapper
-// options; enabled is false when no policy was requested.
-func (p PolicyParams) options() (opts policy.Options, enabled bool, err error) {
+// options converts the policy fields to wrapper options; nil when no
+// policy was requested.
+func (p PolicyParams) options() (*policy.Options, error) {
 	if p.Policy == "" {
 		if p.Slack != 0 || p.Floor != 0 {
-			return opts, false, fmt.Errorf(`slack and floor require a policy (known: %v, or "all")`, policy.Strategies())
+			return nil, fmt.Errorf(`slack and floor require a policy (known: %v, or "all")`, policy.Strategies())
 		}
-		return opts, false, nil
+		return nil, nil
 	}
 	var strategies []string
 	if p.Policy != "all" {
-		if !policy.ValidStrategy(p.Policy) {
-			return opts, false, fmt.Errorf(`unknown policy %q (known: %v, or "all")`, p.Policy, policy.Strategies())
-		}
 		strategies = []string{p.Policy}
 	}
-	if math.IsNaN(p.Slack) || p.Slack < 0 || p.Slack > MaxRequestSlack {
-		return opts, false, fmt.Errorf("slack=%v out of range [1, %d] (0 = default)", p.Slack, MaxRequestSlack)
+	return &policy.Options{Strategies: strategies, Slack: p.Slack, FloorFrac: p.Floor}, nil
+}
+
+// request converts the fields /measure and /sweep share to a
+// launch.Request. The injected latency is bounded by the maximum request
+// deadline before it becomes a time.Duration: an uncapped latency_ms
+// would let one request park a handler (and its device runs) for
+// arbitrary wall-clock time, and a huge one does not convert at all.
+func request(dev string, w device.Workload, seed int64, pp PolicyParams, retries int, faults *FaultRequest) (launch.Request, error) {
+	req := launch.Request{Device: dev, Workload: w, Seed: seed, Retries: retries}
+	if faults != nil {
+		if math.IsNaN(faults.LatencyMS) || faults.LatencyMS < 0 || faults.LatencyMS > MaxRequestTimeoutMS {
+			return req, fmt.Errorf("faults.latency_ms %v out of [0, %d]", faults.LatencyMS, MaxRequestTimeoutMS)
+		}
+		req.Faults = faults.plan()
 	}
-	if math.IsNaN(p.Floor) || p.Floor < 0 || p.Floor > MaxRequestFloor {
-		return opts, false, fmt.Errorf("floor=%v out of range [0, %g) (0 = default)", p.Floor, MaxRequestFloor)
-	}
-	opts = policy.Options{Strategies: strategies, Slack: p.Slack, FloorFrac: p.Floor}.Normalized()
-	if err := opts.Validate(); err != nil {
-		return opts, false, err
-	}
-	return opts, true, nil
+	var err error
+	req.Policy, err = pp.options()
+	return req, err
 }
 
 // MeasureRequest is the /measure body. Config is the configuration's
@@ -425,36 +424,25 @@ type MeasureResponse struct {
 	Attempts int `json:"attempts"`
 }
 
-// resolveRequest validates the shared (device, workload, policy) part
-// of a request body and returns the opened (and, under a policy,
-// wrapped) device, the normalized workload, and its enumerated
-// configurations. All failures are client errors.
-func resolveRequest(name string, w device.Workload, pol PolicyParams) (device.Device, device.Workload, []device.Config, error) {
-	dev, err := openDevice(name)
+// Request converts the body to the campaign request it asks for.
+func (r *MeasureRequest) Request() (launch.Request, error) {
+	return request(r.Device, r.Workload, r.Seed, r.PolicyParams, r.Retries, r.Faults)
+}
+
+// openRequest runs a converted request through the shared Validate and
+// the service's caps, then opens its stack. All failures are client
+// errors.
+func openRequest(req launch.Request, err error) (*launch.Stack, error) {
+	if err == nil {
+		err = launch.Validate(req)
+	}
+	if err == nil {
+		err = checkLimits(req)
+	}
 	if err != nil {
-		return nil, w, nil, err
+		return nil, err
 	}
-	popts, enabled, err := pol.options()
-	if err != nil {
-		return nil, w, nil, err
-	}
-	if enabled {
-		if dev, err = policy.Wrap(dev, popts); err != nil {
-			return nil, w, nil, err
-		}
-	}
-	w = w.Normalized()
-	if err := w.Validate(); err != nil {
-		return nil, w, nil, err
-	}
-	if err := checkWorkloadLimits(w); err != nil {
-		return nil, w, nil, err
-	}
-	configs, err := dev.Configs(w)
-	if err != nil {
-		return nil, w, nil, err
-	}
-	return dev, w, configs, nil
+	return launch.Open(req)
 }
 
 func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
@@ -467,13 +455,13 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	dev, wl, configs, err := resolveRequest(req.Device, req.Workload, req.PolicyParams)
+	st, err := openRequest(req.Request())
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	var chosen device.Config
-	for _, c := range configs {
+	for _, c := range st.Configs {
 		if c.Key() == req.Config {
 			chosen = c
 			break
@@ -482,7 +470,7 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 	if chosen == nil {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf(
 			"unknown config %q for device %q (%d valid configurations, e.g. %q)",
-			req.Config, req.Device, len(configs), configs[0].Key()))
+			req.Config, req.Device, len(st.Configs), st.Configs[0].Key()))
 		return
 	}
 	ctx, cancel, err := requestContext(r, req.TimeoutMS)
@@ -491,27 +479,16 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	spec := s.campaignSpec(req.Seed, req.Nocache)
-	spec.Retry, err = retryPolicy(req.Retries)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	spec.ContinueOnError = true
-	rdev, err := wrapFaults(dev, req.Faults)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
 	// One-point campaign: /measure flows through the same streaming
 	// engine as full sweeps, so seeding, statistics, retries, and caching
 	// are identical — a /measure of a point a /sweep already computed is
 	// a cache hit, and N concurrent identical /measure requests collapse
 	// to one device run. The IndexSink feeds the measured point into the
 	// Pareto index, so even single-point probes grow /optimize coverage.
-	rs := campaign.NewResultSink(rdev, wl)
-	sink := campaign.MultiSink{rs, campaign.NewIndexSink(s.index, req.Device, wl)}
-	if err := campaign.Stream(ctx, rdev, wl, []device.Config{chosen}, spec, sink); err != nil {
+	rs := campaign.NewResultSink(st.Device, st.Workload)
+	sink := campaign.MultiSink{rs, campaign.NewIndexSink(s.index, req.Device, st.Workload)}
+	spec := s.campaignSpec(st, req.Nocache)
+	if err := campaign.Stream(ctx, st.Device, st.Workload, []device.Config{chosen}, spec, sink); err != nil {
 		writeCampaignError(w, err)
 		return
 	}
@@ -573,7 +550,7 @@ type SweepRequest struct {
 	// reported through the X-Fleet-* response headers.
 	Executor string `json:"executor,omitempty"`
 	// Nodes is the fleet size (executor "fleet" only); 0 means
-	// DefaultRequestNodes, capped at MaxRequestNodes.
+	// launch.DefaultNodes, capped at MaxRequestNodes.
 	Nodes int `json:"nodes,omitempty"`
 	// ShardSize is the number of configurations per fleet shard; 0
 	// derives one shard per node.
@@ -609,69 +586,14 @@ func (n *NodeFaultRequest) chaos() fleet.Chaos {
 	}
 }
 
-// sweepCoordinator validates a sweep's executor knobs and builds the
-// fleet coordinator when one is requested. A nil, nil return means the
-// local pool. Device-level faults ride along into the fleet (each node
-// derives its own schedule from the request plan), so the caller must
-// not also wrap the campaign device in fleet mode.
-func sweepCoordinator(req *SweepRequest) (*fleet.Coordinator, error) {
-	switch req.Executor {
-	case "", "local":
-		if req.Nodes != 0 || req.ShardSize != 0 || req.NodeFaults != nil {
-			return nil, errors.New(`nodes, shard_size, and node_faults require executor "fleet"`)
-		}
-		return nil, nil
-	case "fleet":
-	default:
-		return nil, fmt.Errorf("unknown executor %q (want \"local\" or \"fleet\")", req.Executor)
+// Request converts the body to the campaign request it asks for.
+func (r *SweepRequest) Request() (launch.Request, error) {
+	req, err := request(r.Device, r.Workload, r.Seed, r.PolicyParams, r.Retries, r.Faults)
+	req.Workers, req.Executor, req.Nodes, req.ShardSize = r.Workers, r.Executor, r.Nodes, r.ShardSize
+	if r.NodeFaults != nil {
+		req.Chaos = r.NodeFaults.chaos()
 	}
-	nodes := req.Nodes
-	if nodes == 0 {
-		nodes = DefaultRequestNodes
-	}
-	if nodes < 1 || nodes > MaxRequestNodes {
-		return nil, fmt.Errorf("nodes=%d out of range 1..%d", req.Nodes, MaxRequestNodes)
-	}
-	var plan fault.Plan
-	if req.Faults != nil {
-		if math.IsNaN(req.Faults.LatencyMS) || req.Faults.LatencyMS < 0 || req.Faults.LatencyMS > MaxRequestTimeoutMS {
-			return nil, fmt.Errorf("faults.latency_ms %v out of [0, %d]", req.Faults.LatencyMS, MaxRequestTimeoutMS)
-		}
-		plan = req.Faults.plan()
-	}
-	var chaos fleet.Chaos
-	if req.NodeFaults != nil {
-		chaos = req.NodeFaults.chaos()
-	}
-	opts := fleet.Options{
-		Nodes:       nodes,
-		ShardSize:   req.ShardSize,
-		Parallelism: req.Workers,
-		Chaos:       chaos,
-	}
-	popts, enabled, err := req.PolicyParams.options()
-	if err != nil {
-		return nil, err
-	}
-	if !enabled {
-		return fleet.ForDevice(req.Device, plan, opts)
-	}
-	// Policy sweeps need every node to host the same policy wrapper the
-	// reference device carries, or the nodes would reject the policy
-	// configuration keys.
-	name := req.Device
-	return fleet.New(opts, func(node string) (device.Device, error) {
-		dev, err := device.Open(name)
-		if err != nil {
-			return nil, err
-		}
-		if plan.Enabled() {
-			if dev, err = fault.Wrap(dev, fleet.NodePlan(plan, node)); err != nil {
-				return nil, err
-			}
-		}
-		return policy.Wrap(dev, popts)
-	})
+	return req, err
 }
 
 // setFleetHeaders exposes a fleet sweep's control-plane activity.
@@ -693,12 +615,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if req.Workers < 0 || req.Workers > MaxRequestWorkers {
-		httpError(w, http.StatusBadRequest,
-			fmt.Sprintf("workers=%d out of range 0..%d", req.Workers, MaxRequestWorkers))
-		return
-	}
-	dev, wl, configs, err := resolveRequest(req.Device, req.Workload, req.PolicyParams)
+	st, err := openRequest(req.Request())
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
@@ -709,28 +626,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	spec := s.campaignSpec(req.Seed, req.Nocache)
-	spec.Workers = req.Workers
-	spec.Retry, err = retryPolicy(req.Retries)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	spec.ContinueOnError = true
-	coord, err := sweepCoordinator(&req)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	rdev := dev
-	if coord != nil {
-		// Fleet mode: every node hosts (and fault-wraps) its own device
-		// instance, so the reference device stays clean.
-		spec.Executor = fleet.Executor{Coord: coord}
-	} else if rdev, err = wrapFaults(dev, req.Faults); err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
 	// The sweep streams: outcomes fan out to a compact record writer
 	// (the response body is serialized as points commit, never holding a
 	// materialized []PointReport), the Pareto index behind /optimize, and
@@ -739,20 +634,20 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// store.CampaignRecord, so clients see the exact same wire format the
 	// materialized path produced.
 	var body bytes.Buffer
-	rsink, err := campaign.NewRecordSink(&body, dev, wl, true)
+	rsink, err := campaign.NewRecordSink(&body, st.Device, st.Workload, true)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	counts := &campaign.CountingSink{}
-	sink := campaign.MultiSink{rsink, campaign.NewIndexSink(s.index, req.Device, wl), counts}
-	if err := campaign.Stream(ctx, rdev, wl, configs, spec, sink); err != nil {
+	sink := campaign.MultiSink{rsink, campaign.NewIndexSink(s.index, req.Device, st.Workload), counts}
+	if err := campaign.Stream(ctx, st.Device, st.Workload, st.Configs, s.campaignSpec(st, req.Nocache), sink); err != nil {
 		writeCampaignError(w, err)
 		return
 	}
 	s.setCacheHeaders(w)
-	if coord != nil {
-		setFleetHeaders(w, coord)
+	if st.Coord != nil {
+		setFleetHeaders(w, st.Coord)
 	}
 	if n := counts.Failed(); n > 0 {
 		w.Header().Set("X-Points-Failed", strconv.Itoa(n))
