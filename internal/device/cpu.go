@@ -7,7 +7,6 @@ import (
 
 	"energyprop/internal/cpusim"
 	"energyprop/internal/dense"
-	"energyprop/internal/meter"
 )
 
 // CPU adapts a *cpusim.Machine. Its decision variables are the
@@ -42,10 +41,6 @@ func (c *CPU) Spec() Spec {
 	return Spec{CatalogName: c.m.Spec.Name, IdlePowerW: c.m.Spec.IdlePowerW}
 }
 
-// Underlying exposes the wrapped simulator for callers that need
-// machine-specific extras (placement policies, power breakdowns).
-func (c *CPU) Underlying() *cpusim.Machine { return c.m }
-
 // CPUPoint is one threadgroup decomposition.
 type CPUPoint struct {
 	C dense.Config
@@ -62,15 +57,12 @@ func (p CPUPoint) String() string { return p.C.String() }
 // Configs implements Device: the machine's enumeration filtered to the
 // decompositions valid for the workload size (threads <= N).
 func (c *CPU) Configs(w Workload) ([]Config, error) {
-	w = w.Normalized()
-	if err := w.Validate(); err != nil {
+	f, w, err := lookup(w)
+	if err != nil {
 		return nil, err
 	}
-	if w.App == AppFFT && w.N < 2 {
-		return nil, fmt.Errorf("device: FFT size %d must be >= 2", w.N)
-	}
-	if (w.App == AppStencil || w.App == AppCompound) && w.N < 3 {
-		return nil, fmt.Errorf("device: stencil grid %d must be >= 3", w.N)
+	if w.N < f.cpuMinN {
+		return nil, fmt.Errorf("device: %s %s size %d must be >= %d", c.name, w.App, w.N, f.cpuMinN)
 	}
 	var out []Config
 	for _, cfg := range c.m.EnumerateConfigs() {
@@ -85,69 +77,23 @@ func (c *CPU) Configs(w Workload) ([]Config, error) {
 }
 
 // Run implements Device. Products instances run back to back, so time
-// and energy scale linearly with the count.
+// and energy scale linearly with the count; a compound instance's
+// phases all run under the same decomposition.
 func (c *CPU) Run(ctx context.Context, w Workload, cfg Config) (*Outcome, error) {
 	if err := checkCtx(ctx); err != nil {
 		return nil, err
 	}
-	w = w.Normalized()
-	if err := w.Validate(); err != nil {
+	f, w, err := lookup(w)
+	if err != nil {
 		return nil, err
 	}
 	p, ok := cfg.(CPUPoint)
 	if !ok {
 		return nil, configMismatch(c, cfg)
 	}
-	if w.App == AppCompound {
-		return c.runCompound(w, p)
-	}
-	var r *cpusim.Result
-	var err error
-	switch w.App {
-	case AppDense:
-		r, err = c.m.RunGEMM(cpusim.GEMMApp{N: w.N, Config: p.C})
-	case AppFFT:
-		r, err = c.m.RunFFT2DThreaded(w.N, p.C)
-	case AppSpMV:
-		r, err = c.m.RunSpMVThreaded(w.N, p.C)
-	case AppStencil:
-		r, err = c.m.RunStencilThreaded(w.N, p.C)
-	default:
-		return nil, fmt.Errorf("device: %s cannot run application %q", c.name, w.App)
-	}
+	ps, err := f.cpu(c.m, w.N, p.C)
 	if err != nil {
 		return nil, err
 	}
-	n := float64(w.Products)
-	return &Outcome{
-		TrueSeconds: n * r.Seconds,
-		TrueEnergyJ: n * r.DynEnergyJ,
-		Run:         meter.ConstantRun{Seconds: n * r.Seconds, Watts: c.m.Spec.IdlePowerW + r.DynPowerW},
-	}, nil
-}
-
-// runCompound executes one SpMV and one stencil sweep per product under
-// the same threadgroup decomposition. The two phases run back to back,
-// so the power profile is a two-segment staircase and the compound
-// energy is exactly the sum of the phase energies — the additivity the
-// counters property tests pin down.
-func (c *CPU) runCompound(w Workload, p CPUPoint) (*Outcome, error) {
-	sp, err := c.m.RunSpMVThreaded(w.N, p.C)
-	if err != nil {
-		return nil, err
-	}
-	st, err := c.m.RunStencilThreaded(w.N, p.C)
-	if err != nil {
-		return nil, err
-	}
-	n := float64(w.Products)
-	idle := c.m.Spec.IdlePowerW
-	run := &meter.SegmentRun{}
-	run.AddSegment(n*sp.Seconds, idle+sp.DynPowerW)
-	run.AddSegment(n*st.Seconds, idle+st.DynPowerW)
-	return &Outcome{
-		TrueSeconds: n * (sp.Seconds + st.Seconds),
-		TrueEnergyJ: n * (sp.DynEnergyJ + st.DynEnergyJ),
-		Run:         run,
-	}, nil
+	return ps.outcome(w.Products, c.m.Spec.IdlePowerW), nil
 }

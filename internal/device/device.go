@@ -48,20 +48,6 @@ const (
 	AppCompound = "compound"
 )
 
-// Apps lists the application families in canonical order.
-func Apps() []string {
-	return []string{AppDense, AppFFT, AppSpMV, AppStencil, AppCompound}
-}
-
-func knownApp(app string) bool {
-	for _, a := range Apps() {
-		if a == app {
-			return true
-		}
-	}
-	return false
-}
-
 // Normalized resolves the workload's defaults: an empty or alias App
 // becomes the canonical family name and Products=0 becomes 1.
 func (w Workload) Normalized() Workload {
@@ -76,10 +62,11 @@ func (w Workload) Normalized() Workload {
 }
 
 // Validate checks the normalized workload. Family-specific constraints
-// (e.g. FFT sizes must be >= 2) are checked by the device's Configs.
+// (e.g. FFT sizes must be >= 2) are checked by the device's Configs
+// against the family table.
 func (w Workload) Validate() error {
 	w = w.Normalized()
-	if !knownApp(w.App) {
+	if familyOf(w.App) == nil {
 		return fmt.Errorf("device: unknown application %q (known: %v)", w.App, Apps())
 	}
 	if w.N < 1 {

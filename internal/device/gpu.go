@@ -4,9 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 
 	"energyprop/internal/gpusim"
-	"energyprop/internal/meter"
 )
 
 // GPU adapts a *gpusim.Device. Its dense decision variables are the
@@ -52,11 +52,6 @@ func (g *GPU) Spec() Spec {
 func (g *GPU) Analytic() Device {
 	return &GPU{name: g.name, dev: g.dev, analytic: true}
 }
-
-// Underlying exposes the wrapped simulator for callers that need
-// GPU-specific extras (clock sweeps, ablations); the unified pipeline
-// itself never uses it.
-func (g *GPU) Underlying() *gpusim.Device { return g.dev }
 
 // GPUPoint is one dense-family configuration: the paper's three decision
 // variables.
@@ -115,157 +110,67 @@ func (CompoundPoint) Key() string { return "compound" }
 // String implements Config.
 func (CompoundPoint) String() string { return "(spmv+stencil)" }
 
-func (g *GPU) matmulWorkload(w Workload) gpusim.MatMulWorkload {
-	return gpusim.MatMulWorkload{N: w.N, Products: w.Products}
-}
-
 // Configs implements Device.
 func (g *GPU) Configs(w Workload) ([]Config, error) {
-	w = w.Normalized()
-	if err := w.Validate(); err != nil {
+	f, w, err := lookup(w)
+	if err != nil {
 		return nil, err
 	}
-	switch w.App {
-	case AppDense:
-		raw, err := g.dev.EnumerateConfigs(g.matmulWorkload(w))
-		if err != nil {
-			return nil, err
-		}
-		if len(raw) == 0 {
-			return nil, fmt.Errorf("device: %s admits no configurations for %v", g.name, w)
-		}
-		out := make([]Config, len(raw))
-		for i, c := range raw {
-			out[i] = GPUPoint{C: c}
-		}
-		return out, nil
-	case AppFFT:
-		if w.N < 2 {
-			return nil, fmt.Errorf("device: FFT size %d must be >= 2", w.N)
-		}
-		return []Config{FFTPoint{}}, nil
-	case AppSpMV:
-		lanes := gpusim.SpMVLaneSpace()
-		out := make([]Config, len(lanes))
-		for i, l := range lanes {
-			out[i] = SpMVPoint{Lanes: l}
-		}
-		return out, nil
-	case AppStencil:
-		var out []Config
-		for _, t := range gpusim.StencilTileSpace() {
-			if t <= w.N {
-				out = append(out, StencilPoint{Tile: t})
-			}
-		}
-		if len(out) == 0 {
-			return nil, fmt.Errorf("device: stencil grid %d smaller than every tile on %s", w.N, g.name)
-		}
-		return out, nil
-	case AppCompound:
-		if w.N < gpusim.DefaultStencilTile {
-			return nil, fmt.Errorf("device: compound grid %d must be >= %d on %s", w.N, gpusim.DefaultStencilTile, g.name)
-		}
-		return []Config{CompoundPoint{}}, nil
-	default:
-		return nil, fmt.Errorf("device: %s cannot run application %q", g.name, w.App)
+	if w.N < f.gpuMinN {
+		return nil, fmt.Errorf("device: %s %s size %d must be >= %d", g.name, w.App, w.N, f.gpuMinN)
 	}
+	out, err := f.gpuSpace(g.dev, w)
+	if err != nil {
+		return nil, err
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("device: %s admits no configurations for %v", g.name, w)
+	}
+	return out, nil
 }
 
-// Run implements Device.
+// Run implements Device. Products instances of the non-dense families
+// run back to back.
 func (g *GPU) Run(ctx context.Context, w Workload, c Config) (*Outcome, error) {
 	if err := checkCtx(ctx); err != nil {
 		return nil, err
 	}
-	w = w.Normalized()
-	if err := w.Validate(); err != nil {
+	f, w, err := lookup(w)
+	if err != nil {
 		return nil, err
 	}
-	idle := g.dev.Spec.IdlePowerW
-	switch p := c.(type) {
-	case GPUPoint:
-		if w.App != AppDense {
-			return nil, configMismatch(g, c)
-		}
-		if g.analytic {
-			r, err := g.dev.RunMatMul(g.matmulWorkload(w), p.C)
-			if err != nil {
-				return nil, err
-			}
-			return &Outcome{TrueSeconds: r.Seconds, TrueEnergyJ: r.DynEnergyJ, Run: r.Run(idle)}, nil
-		}
-		tr, err := g.dev.RunMatMulTraced(g.matmulWorkload(w), p.C)
-		if err != nil {
-			return nil, err
-		}
-		return &Outcome{TrueSeconds: tr.TraceSeconds, TrueEnergyJ: tr.TraceEnergyJ, Run: tr.Run(idle)}, nil
-	case FFTPoint:
-		if w.App != AppFFT {
-			return nil, configMismatch(g, c)
-		}
-		r, err := g.dev.RunFFT2D(w.N)
-		if err != nil {
-			return nil, err
-		}
-		// Independent transforms run back to back.
-		n := float64(w.Products)
-		return &Outcome{
-			TrueSeconds: n * r.Seconds,
-			TrueEnergyJ: n * r.DynEnergyJ,
-			Run:         meter.ConstantRun{Seconds: n * r.Seconds, Watts: idle + r.DynPowerW},
-		}, nil
-	case SpMVPoint:
-		if w.App != AppSpMV {
-			return nil, configMismatch(g, c)
-		}
-		r, err := g.dev.RunSpMV(w.N, p.Lanes)
-		if err != nil {
-			return nil, err
-		}
-		n := float64(w.Products)
-		return &Outcome{
-			TrueSeconds: n * r.Seconds,
-			TrueEnergyJ: n * r.DynEnergyJ,
-			Run:         meter.ConstantRun{Seconds: n * r.Seconds, Watts: idle + r.DynPowerW},
-		}, nil
-	case StencilPoint:
-		if w.App != AppStencil {
-			return nil, configMismatch(g, c)
-		}
-		r, err := g.dev.RunStencil(w.N, p.Tile)
-		if err != nil {
-			return nil, err
-		}
-		n := float64(w.Products)
-		return &Outcome{
-			TrueSeconds: n * r.Seconds,
-			TrueEnergyJ: n * r.DynEnergyJ,
-			Run:         meter.ConstantRun{Seconds: n * r.Seconds, Watts: idle + r.DynPowerW},
-		}, nil
-	case CompoundPoint:
-		if w.App != AppCompound {
-			return nil, configMismatch(g, c)
-		}
-		sp, err := g.dev.RunSpMV(w.N, gpusim.DefaultSpMVLanes)
-		if err != nil {
-			return nil, err
-		}
-		st, err := g.dev.RunStencil(w.N, gpusim.DefaultStencilTile)
-		if err != nil {
-			return nil, err
-		}
-		// Both phases back to back per product: a two-segment staircase
-		// whose energy is exactly the sum of the phase energies.
-		n := float64(w.Products)
-		run := &meter.SegmentRun{}
-		run.AddSegment(n*sp.Seconds, idle+sp.DynPowerW)
-		run.AddSegment(n*st.Seconds, idle+st.DynPowerW)
-		return &Outcome{
-			TrueSeconds: n * (sp.Seconds + st.Seconds),
-			TrueEnergyJ: n * (sp.DynEnergyJ + st.DynEnergyJ),
-			Run:         run,
-		}, nil
-	default:
+	if f.gpu == nil {
+		return g.runDense(w, c)
+	}
+	if reflect.TypeOf(c) != reflect.TypeOf(f.unit) {
 		return nil, configMismatch(g, c)
 	}
+	ps, err := f.gpu(g.dev, w.N, c)
+	if err != nil {
+		return nil, err
+	}
+	return ps.outcome(w.Products, g.dev.Spec.IdlePowerW), nil
+}
+
+// runDense runs the paper's batched matmul: all Products instances in
+// one RunMatMul, traced through the block scheduler unless analytic.
+func (g *GPU) runDense(w Workload, c Config) (*Outcome, error) {
+	p, ok := c.(GPUPoint)
+	if !ok {
+		return nil, configMismatch(g, c)
+	}
+	idle := g.dev.Spec.IdlePowerW
+	mw := gpusim.MatMulWorkload{N: w.N, Products: w.Products}
+	if g.analytic {
+		r, err := g.dev.RunMatMul(mw, p.C)
+		if err != nil {
+			return nil, err
+		}
+		return &Outcome{TrueSeconds: r.Seconds, TrueEnergyJ: r.DynEnergyJ, Run: r.Run(idle)}, nil
+	}
+	tr, err := g.dev.RunMatMulTraced(mw, p.C)
+	if err != nil {
+		return nil, err
+	}
+	return &Outcome{TrueSeconds: tr.TraceSeconds, TrueEnergyJ: tr.TraceEnergyJ, Run: tr.Run(idle)}, nil
 }

@@ -2,7 +2,6 @@ package device
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -23,40 +22,56 @@ const maxHeteroProcs = 4
 // processors run their shares concurrently, so a point's time is the
 // slowest processor and its energy is the sum.
 type Hetero struct {
-	name     string
-	catalog  string
-	idleW    float64
-	labels   []string
-	platform func(app string, unitN int) []hetero.Processor
-}
-
-// NewHetero wraps a platform builder: labels name the processors (short,
-// key-safe) and must match the builder's slice order; idleW is the
-// combined idle power of the ensemble's nodes. The builder receives the
-// workload's application family and unit size.
-func NewHetero(name, catalog string, idleW float64, labels []string, platform func(app string, unitN int) []hetero.Processor) (*Hetero, error) {
-	if name == "" {
-		return nil, errors.New("device: hetero needs a name")
-	}
-	if platform == nil {
-		return nil, errors.New("device: nil platform builder")
-	}
-	if len(labels) == 0 || len(labels) > maxHeteroProcs {
-		return nil, fmt.Errorf("device: hetero needs 1..%d processor labels, got %d", maxHeteroProcs, len(labels))
-	}
-	return &Hetero{name: name, catalog: catalog, idleW: idleW, labels: labels, platform: platform}, nil
+	name    string
+	catalog string
+	idleW   float64
+	labels  []string
+	procs   []hetero.Processor
 }
 
 // NewPaperHetero builds the paper's Fig 1 ensemble — the Haswell node,
-// the K40c, and the P100 — as a single measurable device.
+// the K40c, and the P100 of hetero.PaperPlatform — as a single
+// measurable device. Its simulators are built once, here.
 func NewPaperHetero(name string) *Hetero {
-	idle := hw.Haswell().IdlePowerW + hw.K40c().IdlePowerW + hw.P100().IdlePowerW
-	h, err := NewHetero(name, "Haswell + K40c + P100 (Fig 1 ensemble)", idle,
-		[]string{"haswell", "k40c", "p100"}, hetero.PaperPlatformFor)
-	if err != nil {
-		panic(err) // static arguments; unreachable
+	return &Hetero{
+		name:    name,
+		catalog: "Haswell + K40c + P100 (Fig 1 ensemble)",
+		idleW:   hw.Haswell().IdlePowerW + hw.K40c().IdlePowerW + hw.P100().IdlePowerW,
+		labels:  []string{"haswell", "k40c", "p100"},
+		procs:   hetero.PaperPlatform(0),
 	}
-	return h
+}
+
+// runUnits solves units units of family f at size unitN on ensemble
+// processor p. Dgemm runs through p itself; every other family runs the
+// table's kernels at the ensemble knobs: p's threadgroup decomposition
+// on the CPU, the family's unit point on a GPU.
+func runUnits(p hetero.Processor, f *family, unitN, units int) (float64, float64, error) {
+	var ps phases
+	var err error
+	switch p := p.(type) {
+	case *hetero.CPUProcessor:
+		if f.unit == nil {
+			cpu := *p
+			cpu.UnitN = unitN
+			return cpu.RunUnits(units)
+		}
+		ps, err = f.cpu(p.Machine, unitN, p.Config)
+	case *hetero.GPUProcessor:
+		if f.unit == nil {
+			gpu := *p
+			gpu.UnitN = unitN
+			return gpu.RunUnits(units)
+		}
+		ps, err = f.gpu(p.Device, unitN, f.unit)
+	default:
+		return 0, 0, fmt.Errorf("device: unsupported ensemble processor %s", p.Name())
+	}
+	if err != nil {
+		return 0, 0, err
+	}
+	secs, energy := ps.times(units)
+	return secs, energy, nil
 }
 
 // Name implements Device.
@@ -87,13 +102,19 @@ func (p HeteroPoint) Key() string {
 	return strings.Join(parts, "/")
 }
 
-// String implements Config.
+// String implements Config, e.g. "(haswell=2, k40c=3, p100=3)".
 func (p HeteroPoint) String() string {
-	parts := make([]string, p.NP)
-	for i := 0; i < p.NP; i++ {
-		parts[i] = fmt.Sprintf("%s=%d", p.Labels[i], p.Units[i])
+	return "(" + strings.ReplaceAll(p.Key(), "/", ", ") + ")"
+}
+
+// family looks up the workload's family and rejects those the ensemble
+// cannot distribute.
+func (h *Hetero) family(w Workload) (*family, Workload, error) {
+	f, w, err := lookup(w)
+	if err == nil && !f.ensemble {
+		err = fmt.Errorf("device: %s cannot distribute the %s family (no per-unit knob)", h.name, w.App)
 	}
-	return "(" + strings.Join(parts, ", ") + ")"
+	return f, w, err
 }
 
 // Configs implements Device: every composition of w.Products units over
@@ -101,19 +122,12 @@ func (p HeteroPoint) String() string {
 // validated by probing each processor with one unit, so a size no
 // processor can run surfaces here as an error rather than mid-campaign.
 func (h *Hetero) Configs(w Workload) ([]Config, error) {
-	w = w.Normalized()
-	if err := w.Validate(); err != nil {
+	f, w, err := h.family(w)
+	if err != nil {
 		return nil, err
 	}
-	if w.App == AppFFT {
-		return nil, fmt.Errorf("device: %s cannot distribute the FFT family (no per-unit knob)", h.name)
-	}
-	procs := h.platform(w.App, w.N)
-	if len(procs) != len(h.labels) {
-		return nil, fmt.Errorf("device: %s platform has %d processors, %d labels", h.name, len(procs), len(h.labels))
-	}
-	for i, p := range procs {
-		if _, _, err := p.RunUnits(1); err != nil {
+	for i, p := range h.procs {
+		if _, _, err := runUnits(p, f, w.N, 1); err != nil {
 			return nil, fmt.Errorf("device: %s processor %s cannot run N=%d: %w", h.name, h.labels[i], w.N, err)
 		}
 	}
@@ -145,12 +159,12 @@ func (h *Hetero) Run(ctx context.Context, w Workload, c Config) (*Outcome, error
 	if err := checkCtx(ctx); err != nil {
 		return nil, err
 	}
-	w = w.Normalized()
-	if err := w.Validate(); err != nil {
+	f, w, err := h.family(w)
+	if err != nil {
 		return nil, err
 	}
 	p, ok := c.(HeteroPoint)
-	if !ok || p.NP != len(h.labels) {
+	if !ok || p.NP != len(h.procs) {
 		return nil, configMismatch(h, c)
 	}
 	total := 0
@@ -160,21 +174,14 @@ func (h *Hetero) Run(ctx context.Context, w Workload, c Config) (*Outcome, error
 	if total != w.Products {
 		return nil, fmt.Errorf("device: distribution %v sums to %d units, workload has %d", c, total, w.Products)
 	}
-	if w.App == AppFFT {
-		return nil, fmt.Errorf("device: %s cannot distribute the FFT family (no per-unit knob)", h.name)
-	}
-	procs := h.platform(w.App, w.N)
-	if len(procs) != p.NP {
-		return nil, configMismatch(h, c)
-	}
 	type share struct{ seconds, powerW float64 }
 	var shares []share
-	var maxSecs, sumEnergy float64
-	for i, proc := range procs {
+	var sumEnergy float64
+	for i, proc := range h.procs {
 		if p.Units[i] == 0 {
 			continue
 		}
-		secs, energy, err := proc.RunUnits(p.Units[i])
+		secs, energy, err := runUnits(proc, f, w.N, p.Units[i])
 		if err != nil {
 			return nil, fmt.Errorf("device: %s processor %s: %w", h.name, h.labels[i], err)
 		}
@@ -182,9 +189,6 @@ func (h *Hetero) Run(ctx context.Context, w Workload, c Config) (*Outcome, error
 			return nil, fmt.Errorf("device: %s processor %s reported non-positive time", h.name, h.labels[i])
 		}
 		shares = append(shares, share{seconds: secs, powerW: energy / secs})
-		if secs > maxSecs {
-			maxSecs = secs
-		}
 		sumEnergy += energy
 	}
 	if len(shares) == 0 {
@@ -205,5 +209,5 @@ func (h *Hetero) Run(ctx context.Context, w Workload, c Config) (*Outcome, error
 			prev = s.seconds
 		}
 	}
-	return &Outcome{TrueSeconds: maxSecs, TrueEnergyJ: sumEnergy, Run: run}, nil
+	return &Outcome{TrueSeconds: shares[len(shares)-1].seconds, TrueEnergyJ: sumEnergy, Run: run}, nil
 }

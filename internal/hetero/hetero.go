@@ -27,16 +27,13 @@ type Processor interface {
 	RunUnits(units int) (seconds, dynEnergyJ float64, err error)
 }
 
-// CPUProcessor adapts a cpusim machine running unit applications under a
-// fixed threadgroup configuration. App selects the family ("dgemm" when
-// empty, "spmv", "stencil", or "compound" — one SpMV then one stencil
-// sweep per unit).
+// CPUProcessor adapts a cpusim machine running unit DGEMMs under a fixed
+// threadgroup configuration.
 type CPUProcessor struct {
 	Machine *cpusim.Machine
 	UnitN   int
 	Config  dense.Config
 	Variant dense.Variant
-	App     string
 }
 
 // Name implements Processor.
@@ -51,53 +48,20 @@ func (c *CPUProcessor) RunUnits(units int) (float64, float64, error) {
 	if units == 0 {
 		return 0, 0, nil
 	}
-	secs, energy, err := c.runUnit()
+	r, err := c.Machine.RunGEMM(cpusim.GEMMApp{N: c.UnitN, Config: c.Config, Variant: c.Variant})
 	if err != nil {
 		return 0, 0, err
 	}
-	return float64(units) * secs, float64(units) * energy, nil
+	return float64(units) * r.Seconds, float64(units) * r.DynEnergyJ, nil
 }
 
-// runUnit solves one unit of the processor's application family.
-func (c *CPUProcessor) runUnit() (float64, float64, error) {
-	var r *cpusim.Result
-	var err error
-	switch c.App {
-	case "", "dgemm":
-		r, err = c.Machine.RunGEMM(cpusim.GEMMApp{N: c.UnitN, Config: c.Config, Variant: c.Variant})
-	case "spmv":
-		r, err = c.Machine.RunSpMVThreaded(c.UnitN, c.Config)
-	case "stencil":
-		r, err = c.Machine.RunStencilThreaded(c.UnitN, c.Config)
-	case "compound":
-		sp, serr := c.Machine.RunSpMVThreaded(c.UnitN, c.Config)
-		if serr != nil {
-			return 0, 0, serr
-		}
-		st, serr := c.Machine.RunStencilThreaded(c.UnitN, c.Config)
-		if serr != nil {
-			return 0, 0, serr
-		}
-		return sp.Seconds + st.Seconds, sp.DynEnergyJ + st.DynEnergyJ, nil
-	default:
-		return 0, 0, fmt.Errorf("hetero: CPU processor cannot run application %q", c.App)
-	}
-	if err != nil {
-		return 0, 0, err
-	}
-	return r.Seconds, r.DynEnergyJ, nil
-}
-
-// GPUProcessor adapts a gpusim device running unit applications. The
-// dense family (App empty or "dgemm") runs at a fixed block size
-// (typically the device's energy- or time-optimal BS); the bandwidth
-// families run at their canonical knobs (DefaultSpMVLanes,
-// DefaultStencilTile).
+// GPUProcessor adapts a gpusim device running unit matrix products at a
+// fixed block size (typically the device's energy- or time-optimal BS).
+// Its units run as one batched launch, G=1 and R=units.
 type GPUProcessor struct {
 	Device *gpusim.Device
 	UnitN  int
 	BS     int
-	App    string
 }
 
 // Name implements Processor.
@@ -111,40 +75,13 @@ func (g *GPUProcessor) RunUnits(units int) (float64, float64, error) {
 	if units == 0 {
 		return 0, 0, nil
 	}
-	switch g.App {
-	case "", "dgemm":
-		r, err := g.Device.RunMatMul(
-			gpusim.MatMulWorkload{N: g.UnitN, Products: units},
-			gpusim.MatMulConfig{BS: g.BS, G: 1, R: units})
-		if err != nil {
-			return 0, 0, err
-		}
-		return r.Seconds, r.DynEnergyJ, nil
-	case "spmv":
-		r, err := g.Device.RunSpMV(g.UnitN, gpusim.DefaultSpMVLanes)
-		if err != nil {
-			return 0, 0, err
-		}
-		return float64(units) * r.Seconds, float64(units) * r.DynEnergyJ, nil
-	case "stencil":
-		r, err := g.Device.RunStencil(g.UnitN, gpusim.DefaultStencilTile)
-		if err != nil {
-			return 0, 0, err
-		}
-		return float64(units) * r.Seconds, float64(units) * r.DynEnergyJ, nil
-	case "compound":
-		sp, err := g.Device.RunSpMV(g.UnitN, gpusim.DefaultSpMVLanes)
-		if err != nil {
-			return 0, 0, err
-		}
-		st, err := g.Device.RunStencil(g.UnitN, gpusim.DefaultStencilTile)
-		if err != nil {
-			return 0, 0, err
-		}
-		return float64(units) * (sp.Seconds + st.Seconds), float64(units) * (sp.DynEnergyJ + st.DynEnergyJ), nil
-	default:
-		return 0, 0, fmt.Errorf("hetero: GPU processor cannot run application %q", g.App)
+	r, err := g.Device.RunMatMul(
+		gpusim.MatMulWorkload{N: g.UnitN, Products: units},
+		gpusim.MatMulConfig{BS: g.BS, G: 1, R: units})
+	if err != nil {
+		return 0, 0, err
 	}
+	return r.Seconds, r.DynEnergyJ, nil
 }
 
 // BuildProfile runs the processor at every unit count 0..maxUnits and
@@ -193,24 +130,14 @@ func Distribute(procs []Processor, totalUnits int) ([]optimize.Distribution, err
 // K40c, and the P100 — with each GPU at its energy-optimal block size and
 // the CPU in the balanced two-socket configuration.
 func PaperPlatform(unitN int) []Processor {
-	return PaperPlatformFor("dgemm", unitN)
-}
-
-// PaperPlatformFor is PaperPlatform running a named application family
-// ("dgemm", "spmv", "stencil", or "compound"; the FFT families expose no
-// distribution knob and are not ensemble applications). The CPU keeps the
-// balanced two-socket decomposition; GPUs run the bandwidth families at
-// their canonical knobs.
-func PaperPlatformFor(app string, unitN int) []Processor {
 	return []Processor{
 		&CPUProcessor{
 			Machine: cpusim.NewHaswell(),
 			UnitN:   unitN,
 			Config:  dense.Config{Groups: 2, ThreadsPerGroup: 12},
 			Variant: dense.VariantPacked,
-			App:     app,
 		},
-		&GPUProcessor{Device: gpusim.NewK40c(), UnitN: unitN, BS: 32, App: app},
-		&GPUProcessor{Device: gpusim.NewP100(), UnitN: unitN, BS: 24, App: app},
+		&GPUProcessor{Device: gpusim.NewK40c(), UnitN: unitN, BS: 32},
+		&GPUProcessor{Device: gpusim.NewP100(), UnitN: unitN, BS: 24},
 	}
 }
