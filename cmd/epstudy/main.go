@@ -46,6 +46,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"energyprop/internal/campaign"
 	"energyprop/internal/cli"
@@ -327,7 +328,7 @@ func requestFlags(fs *flag.FlagSet) func() (launch.Request, error) {
 	slack := fs.Float64("slack", 0, "deadline window as a multiple of the busy interval for -mode policy (0 = 1.5)")
 	floor := fs.Float64("floor", 0, "deep-idle floor as a fraction of active idle power for -mode policy (0 = 0.3)")
 	policies := fs.String("policies", "", "comma-separated strategies for -mode policy: race, paced (empty = both)")
-	app := fs.String("app", "dgemm", "application family for -device campaigns: dgemm, fft, spmv, stencil, or compound")
+	app := fs.String("app", "dgemm", "application family for -device campaigns: "+strings.Join(device.Apps(), ", "))
 	n := fs.Int("n", 4096, "matrix/signal dimension N for -device campaigns")
 	products := fs.Int("products", 2, "total problem instances for -device campaigns")
 	faults := fs.String("faults", "", "inject deterministic faults into the -device campaign, e.g. seed=3,transient=0.2,drop=0.1")

@@ -46,6 +46,7 @@ import (
 	"os"
 	"os/signal"
 	"strconv"
+	"strings"
 
 	"energyprop/internal/cli"
 	"energyprop/internal/device"
@@ -315,7 +316,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 // launch.Request for the model-true sweep.
 func requestFlags(fs *flag.FlagSet) func() (launch.Request, error) {
 	devName := fs.String("device", "p100", "registered device to sweep (see -list)")
-	app := fs.String("app", "dgemm", "application family: dgemm, fft, spmv, stencil, or compound")
+	app := fs.String("app", "dgemm", "application family: "+strings.Join(device.Apps(), ", "))
 	n := fs.Int("n", 10240, "matrix/signal dimension N")
 	products := fs.Int("products", 8, "total problem instances (G·R on a GPU)")
 	workers := fs.Int("workers", 0, "parallel sweep workers (0 = one per CPU)")
