@@ -15,10 +15,11 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden files")
 // CPU-model experiments (dvfs, cpumodel, fig4) are pinned so the
 // zero-alloc scratch/caching refactor of the cpusim hot path is provably
 // output-neutral: their goldens were generated from the pre-refactor
-// implementation and must stay byte-identical.
+// implementation and must stay byte-identical. The scheduler table pins
+// the per-job configuration picks of internal/sched's policies.
 // Regenerate intentionally with: go test ./internal/experiment -run Golden -update
 func TestGoldenOutputs(t *testing.T) {
-	for _, id := range []string{"table1", "theory", "dvfs", "cpumodel", "fig4"} {
+	for _, id := range []string{"table1", "theory", "dvfs", "cpumodel", "fig4", "scheduler"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			e, err := Get(id)
