@@ -27,6 +27,8 @@
 package energyprop
 
 import (
+	"errors"
+
 	"energyprop/internal/cpusim"
 	"energyprop/internal/dense"
 	"energyprop/internal/ep"
@@ -36,6 +38,7 @@ import (
 	"energyprop/internal/meter"
 	"energyprop/internal/optimize"
 	"energyprop/internal/pareto"
+	"energyprop/internal/parindex"
 	"energyprop/internal/stats"
 )
 
@@ -165,7 +168,25 @@ type (
 // CheapestWithin picks the lowest-energy point within a performance
 // budget (percent slower than the fastest point).
 func CheapestWithin(points []Point, maxDegradationPct float64) (Point, error) {
-	return optimize.CheapestWithin(points, maxDegradationPct)
+	if len(points) == 0 {
+		return Point{}, errors.New("energyprop: no points")
+	}
+	if maxDegradationPct < 0 {
+		return Point{}, errors.New("energyprop: degradation budget must be non-negative")
+	}
+	var front parindex.Front
+	for _, p := range points {
+		front.Insert(parindex.Entry{Label: p.Label, Time: p.Time, Energy: p.Energy})
+	}
+	fastest, _ := front.Fastest()
+	if fastest.Time <= 0 {
+		return Point{}, errors.New("energyprop: non-positive times")
+	}
+	best, ok := front.Best(parindex.Query{MaxTime: fastest.Time * (1 + maxDegradationPct/100)})
+	if !ok {
+		return Point{}, errors.New("energyprop: no point within budget")
+	}
+	return Point{Label: best.Label, Time: best.Time, Energy: best.Energy}, nil
 }
 
 // DistributeWorkload computes the Pareto-optimal distributions of n units

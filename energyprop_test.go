@@ -2,6 +2,7 @@ package energyprop_test
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"energyprop"
@@ -131,6 +132,64 @@ func TestFacadeDistribution(t *testing.T) {
 	}
 	if pick.Energy <= 0 {
 		t.Error("bad pick")
+	}
+}
+
+func TestCheapestWithin(t *testing.T) {
+	pts := []energyprop.Point{
+		{Label: "fast", Time: 10, Energy: 100},
+		{Label: "mid", Time: 10.5, Energy: 70},
+		{Label: "slow", Time: 12, Energy: 40},
+	}
+	for _, tc := range []struct {
+		pct  float64
+		want string
+	}{
+		{10, "mid"}, // slow exceeds the budget
+		{25, "slow"},
+		{0, "fast"},
+	} {
+		got, err := energyprop.CheapestWithin(pts, tc.pct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Label != tc.want {
+			t.Errorf("%v%% budget: got %s, want %s", tc.pct, got.Label, tc.want)
+		}
+	}
+}
+
+// TestCheapestWithinTies: of two equal-energy points inside the budget
+// the faster one wins, whatever the listing order; exact duplicates
+// keep the first one listed.
+func TestCheapestWithinTies(t *testing.T) {
+	pts := []energyprop.Point{
+		{Label: "fast", Time: 10, Energy: 100},
+		{Label: "slower-equal", Time: 10.8, Energy: 70},
+		{Label: "faster-equal", Time: 10.4, Energy: 70},
+		{Label: "duplicate", Time: 10.4, Energy: 70},
+	}
+	got, err := energyprop.CheapestWithin(pts, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Label != "faster-equal" {
+		t.Errorf("equal-energy tie: got %s, want faster-equal", got.Label)
+	}
+}
+
+func TestCheapestWithinErrors(t *testing.T) {
+	if _, err := energyprop.CheapestWithin(nil, 10); err == nil {
+		t.Error("no points: want error")
+	}
+	if _, err := energyprop.CheapestWithin([]energyprop.Point{{Time: 1, Energy: 1}}, -1); err == nil {
+		t.Error("negative budget: want error")
+	}
+	if _, err := energyprop.CheapestWithin([]energyprop.Point{{Time: 0, Energy: 1}}, 10); err == nil {
+		t.Error("zero time: want error")
+	}
+	if _, err := energyprop.CheapestWithin([]energyprop.Point{{Time: 1, Energy: 1}}, math.NaN()); err == nil {
+		t.Error("NaN budget: want error")
 	}
 }
 

@@ -45,7 +45,7 @@ func main() {
 	}
 
 	// The epsilon-constraint pick: best energy within a 10% slowdown.
-	best, err := optimize.CheapestWithin(optimize.Points(ds), 10)
+	best, err := energyprop.CheapestWithin(optimize.Points(ds), 10)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,11 +1,11 @@
 // Package optimize provides the bi-objective solution methods the paper's
-// related work builds on and that its findings motivate: ε-constraint
-// selection over a configuration sweep (pick the cheapest configuration
-// within a performance budget), and the workload-distribution solver of
-// the authors' companion line of work ([12], [25], [26] in the paper):
-// given per-processor discrete time and dynamic-energy functions of the
-// workload size, compute the Pareto-optimal set of workload distributions
-// for (parallel execution time, total dynamic energy).
+// related work builds on and that its findings motivate: the
+// workload-distribution solver of the authors' companion line of work
+// ([12], [25], [26] in the paper) — given per-processor discrete time and
+// dynamic-energy functions of the workload size, compute the
+// Pareto-optimal set of workload distributions for (parallel execution
+// time, total dynamic energy) — and the adaptive block-size search.
+// ε-constraint selection over a finished sweep is parindex.Front.Best.
 package optimize
 
 import (
@@ -15,41 +15,6 @@ import (
 
 	"energyprop/internal/pareto"
 )
-
-// CheapestWithin returns the point with the lowest energy among those at
-// most maxDegradationPct slower than the fastest point — the ε-constraint
-// method an application programmer would use once weak EP is known to be
-// violated ("tolerate X% slowdown, save as much energy as possible").
-func CheapestWithin(points []pareto.Point, maxDegradationPct float64) (pareto.Point, error) {
-	if len(points) == 0 {
-		return pareto.Point{}, errors.New("optimize: no points")
-	}
-	if maxDegradationPct < 0 {
-		return pareto.Point{}, errors.New("optimize: degradation budget must be non-negative")
-	}
-	fastest := points[0]
-	for _, p := range points[1:] {
-		if p.Time < fastest.Time {
-			fastest = p
-		}
-	}
-	if fastest.Time <= 0 {
-		return pareto.Point{}, errors.New("optimize: non-positive times")
-	}
-	budget := fastest.Time * (1 + maxDegradationPct/100)
-	best := pareto.Point{Energy: math.Inf(1)}
-	found := false
-	for _, p := range points {
-		if p.Time <= budget && p.Energy < best.Energy {
-			best = p
-			found = true
-		}
-	}
-	if !found {
-		return pareto.Point{}, errors.New("optimize: no point within budget")
-	}
-	return best, nil
-}
 
 // ProcessorProfile is one processor's discrete time/energy behaviour:
 // TimeS[w] and EnergyJ[w] are the execution time and dynamic energy of

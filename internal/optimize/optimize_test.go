@@ -5,50 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"energyprop/internal/pareto"
 )
-
-func TestCheapestWithin(t *testing.T) {
-	pts := []pareto.Point{
-		{Label: "fast", Time: 10, Energy: 100},
-		{Label: "mid", Time: 10.5, Energy: 70},
-		{Label: "slow", Time: 12, Energy: 40},
-	}
-	got, err := CheapestWithin(pts, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Label != "mid" {
-		t.Errorf("10%% budget: got %s, want mid (slow exceeds budget)", got.Label)
-	}
-	got, err = CheapestWithin(pts, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Label != "slow" {
-		t.Errorf("25%% budget: got %s, want slow", got.Label)
-	}
-	got, err = CheapestWithin(pts, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Label != "fast" {
-		t.Errorf("0%% budget: got %s, want fast", got.Label)
-	}
-}
-
-func TestCheapestWithinErrors(t *testing.T) {
-	if _, err := CheapestWithin(nil, 10); err == nil {
-		t.Error("no points: want error")
-	}
-	if _, err := CheapestWithin([]pareto.Point{{Time: 1, Energy: 1}}, -1); err == nil {
-		t.Error("negative budget: want error")
-	}
-	if _, err := CheapestWithin([]pareto.Point{{Time: 0, Energy: 1}}, 10); err == nil {
-		t.Error("zero time: want error")
-	}
-}
 
 // linearProfile builds a profile with time w/speed and energy w·rate.
 func linearProfile(name string, n int, speed, rate float64) *ProcessorProfile {

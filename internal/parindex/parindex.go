@@ -273,6 +273,16 @@ func (f *Front) Best(q Query) (Entry, bool) {
 	return Entry{}, false
 }
 
+// Fastest returns the front's leftmost entry: the minimum time, which
+// by the front invariant is also the lower energy of any time tie. ok
+// is false when the front is empty.
+func (f *Front) Fastest() (Entry, bool) {
+	if f.root == nil {
+		return Entry{}, false
+	}
+	return f.root.leftmost().e, true
+}
+
 // Key addresses one front in an Index: a device's registry name plus
 // the normalized workload identity.
 type Key struct {

@@ -165,8 +165,41 @@ func TestBestQueries(t *testing.T) {
 	}
 }
 
+// scanBest is the brute-force reference for Front.Best: apply both
+// filters, then minimize energy under a time bound and time otherwise.
+func scanBest(es []Entry, q Query) (Entry, bool) {
+	var want Entry
+	wantOK := false
+	if q.MaxTime <= 0 && q.MaxEnergy <= 0 {
+		return want, false
+	}
+	for _, e := range es {
+		if q.MaxTime > 0 && e.Time > q.MaxTime {
+			continue
+		}
+		if q.MaxEnergy > 0 && e.Energy > q.MaxEnergy {
+			continue
+		}
+		better := !wantOK
+		if wantOK {
+			if q.MaxTime > 0 {
+				better = e.Energy < want.Energy
+			} else {
+				better = e.Time < want.Time
+			}
+		}
+		if better {
+			want, wantOK = e, true
+		}
+	}
+	return want, wantOK
+}
+
 // TestBestAgainstLinearScan cross-checks the treap descents against a
-// brute-force scan on random fronts and random constraints.
+// brute-force scan on random fronts and random constraints. Each trial
+// also feeds a random subset of the front into a fresh Front — the
+// shape of the /optimize policy filter's input — and checks that every
+// subset entry is admitted and answers the same queries as the scan.
 func TestBestAgainstLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 100; trial++ {
@@ -179,6 +212,17 @@ func TestBestAgainstLinearScan(t *testing.T) {
 			})
 		}
 		es := f.Entries()
+		var sub Front
+		var subset []Entry
+		for _, e := range es {
+			if rng.Intn(2) == 0 {
+				sub.Insert(e)
+				subset = append(subset, e)
+			}
+		}
+		if got := sub.Entries(); len(got) != len(subset) || (len(subset) > 0 && !reflect.DeepEqual(got, subset)) {
+			t.Fatalf("trial %d: subset front %v, want every subset entry %v", trial, got, subset)
+		}
 		for q := 0; q < 20; q++ {
 			query := Query{}
 			if rng.Intn(2) == 0 {
@@ -187,31 +231,46 @@ func TestBestAgainstLinearScan(t *testing.T) {
 			if query.MaxTime == 0 || rng.Intn(2) == 0 {
 				query.MaxEnergy = float64(rng.Intn(120))
 			}
-			var want Entry
-			wantOK := false
-			for _, e := range es { // entries sorted by time: first feasible is min-time...
-				if query.MaxTime > 0 && e.Time > query.MaxTime {
-					continue
-				}
-				if query.MaxEnergy > 0 && e.Energy > query.MaxEnergy {
-					continue
-				}
-				// objective: MaxTime set -> min energy; else min time.
-				if !wantOK {
-					want, wantOK = e, true
-					continue
-				}
-				if query.MaxTime > 0 && e.Energy < want.Energy {
-					want = e
-				}
-			}
-			got, ok := f.Best(query)
-			if query.MaxTime <= 0 && query.MaxEnergy <= 0 {
-				wantOK = false
-			}
-			if ok != wantOK || (ok && got != want) {
+			want, wantOK := scanBest(es, query)
+			if got, ok := f.Best(query); ok != wantOK || (ok && got != want) {
 				t.Fatalf("trial %d: Best(%+v) = %+v,%v want %+v,%v\nfront: %v", trial, query, got, ok, want, wantOK, es)
 			}
+			want, wantOK = scanBest(subset, query)
+			if got, ok := sub.Best(query); ok != wantOK || (ok && got != want) {
+				t.Fatalf("trial %d: subset Best(%+v) = %+v,%v want %+v,%v\nsubset: %v", trial, query, got, ok, want, wantOK, subset)
+			}
+		}
+	}
+}
+
+// TestFastest: the leftmost entry is the minimum time, a time tie keeps
+// the lower energy, and an empty front has none.
+func TestFastest(t *testing.T) {
+	var f Front
+	if _, ok := f.Fastest(); ok {
+		t.Fatal("empty front reported a fastest entry")
+	}
+	for _, e := range []Entry{
+		{Config: "slow", Time: 4, Energy: 10},
+		{Config: "hot", Time: 2, Energy: 50},
+		{Config: "tie", Time: 2, Energy: 30},
+		{Config: "dup", Time: 2, Energy: 30},
+	} {
+		f.Insert(e)
+	}
+	if e, ok := f.Fastest(); !ok || e.Config != "tie" {
+		t.Fatalf("Fastest() = %+v,%v want the cheaper time tie", e, ok)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 100; trial++ {
+		pts := randomPoints(rng, 1+rng.Intn(40), 1+rng.Intn(12))
+		var g Front
+		for _, e := range entriesOf(pts) {
+			g.Insert(e)
+		}
+		got, ok := g.Fastest()
+		if want := frontOf(pts)[0]; !ok || got != want {
+			t.Fatalf("trial %d: Fastest() = %+v,%v want %+v", trial, got, ok, want)
 		}
 	}
 }

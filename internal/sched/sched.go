@@ -5,7 +5,7 @@
 // with deadlines) arrives; a policy picks the (BS, G, R) configuration;
 // the metric is total dynamic energy subject to meeting deadlines.
 //
-// Three policies bracket the design space:
+// Two policies bracket the design space:
 //
 //   - PerformancePolicy: always the fastest configuration — what a user
 //     does when they believe weak EP holds (optimizing time optimizes
@@ -14,9 +14,7 @@
 //   - EnergyPolicy: the cheapest configuration that still meets the
 //     job's deadline (the ε-constraint method per job).
 //
-//   - OraclePolicy: per-job exhaustive front + ε-constraint — the upper
-//     bound EnergyPolicy approaches when its cached sweep covers the
-//     job's size.
+// Both query a parindex.Front built from the job shape's sweep.
 package sched
 
 import (
@@ -25,8 +23,7 @@ import (
 	"math/rand"
 
 	"energyprop/internal/gpusim"
-	"energyprop/internal/optimize"
-	"energyprop/internal/pareto"
+	"energyprop/internal/parindex"
 )
 
 // Job is one unit of arriving work.
@@ -53,6 +50,34 @@ type Policy interface {
 	Pick(dev *gpusim.Device, job Job) (gpusim.MatMulConfig, error)
 }
 
+// sweptFront is one (N, Products) sweep as a Pareto front keyed by
+// MatMulConfig.String(), with each key's configuration.
+type sweptFront struct {
+	front   parindex.Front
+	configs map[string]gpusim.MatMulConfig
+}
+
+// sweep runs the configuration sweep of one job shape and indexes it.
+func sweep(dev *gpusim.Device, n, products int) (*sweptFront, error) {
+	results, err := dev.Sweep(gpusim.MatMulWorkload{N: n, Products: products})
+	if err != nil {
+		return nil, err
+	}
+	s := &sweptFront{configs: make(map[string]gpusim.MatMulConfig, len(results))}
+	for _, r := range results {
+		key := r.Config.String()
+		s.front.Insert(parindex.Entry{Config: key, Time: r.Seconds, Energy: r.DynEnergyJ})
+		s.configs[key] = r.Config
+	}
+	return s, nil
+}
+
+// fastest returns the minimum-time entry; a sweep always has one.
+func (s *sweptFront) fastest() parindex.Entry {
+	e, _ := s.front.Fastest()
+	return e
+}
+
 // PerformancePolicy always runs the fastest configuration.
 type PerformancePolicy struct{}
 
@@ -61,70 +86,48 @@ func (PerformancePolicy) Name() string { return "performance-only" }
 
 // Pick implements Policy.
 func (PerformancePolicy) Pick(dev *gpusim.Device, job Job) (gpusim.MatMulConfig, error) {
-	results, err := dev.Sweep(gpusim.MatMulWorkload{N: job.N, Products: job.Products})
+	s, err := sweep(dev, job.N, job.Products)
 	if err != nil {
 		return gpusim.MatMulConfig{}, err
 	}
-	best := results[0]
-	for _, r := range results[1:] {
-		if r.Seconds < best.Seconds {
-			best = r
-		}
-	}
-	return best.Config, nil
+	return s.configs[s.fastest().Config], nil
 }
 
+// shape is the EnergyPolicy cache key: one sweep per job shape.
+type shape struct{ N, Products int }
+
 // EnergyPolicy runs the cheapest configuration meeting the deadline,
-// using a per-size cached sweep (so repeated sizes cost one sweep).
+// using a per-shape cached sweep (so repeated shapes cost one sweep).
 type EnergyPolicy struct {
-	cache map[int][]*gpusim.Result
+	cache map[shape]*sweptFront
 }
 
 // NewEnergyPolicy returns an EnergyPolicy with an empty cache.
 func NewEnergyPolicy() *EnergyPolicy {
-	return &EnergyPolicy{cache: map[int][]*gpusim.Result{}}
+	return &EnergyPolicy{cache: map[shape]*sweptFront{}}
 }
 
 // Name implements Policy.
 func (*EnergyPolicy) Name() string { return "energy-aware" }
 
-// Pick implements Policy.
+// Pick implements Policy: the ε-constraint query with the job's
+// absolute deadline as the time bound, or the fastest configuration when
+// no configuration meets the deadline.
 func (p *EnergyPolicy) Pick(dev *gpusim.Device, job Job) (gpusim.MatMulConfig, error) {
-	key := job.N*64 + job.Products
-	results, ok := p.cache[key]
+	k := shape{job.N, job.Products}
+	s, ok := p.cache[k]
 	if !ok {
 		var err error
-		results, err = dev.Sweep(gpusim.MatMulWorkload{N: job.N, Products: job.Products})
-		if err != nil {
+		if s, err = sweep(dev, job.N, job.Products); err != nil {
 			return gpusim.MatMulConfig{}, err
 		}
-		p.cache[key] = results
+		p.cache[k] = s
 	}
-	var pts []pareto.Point
-	byLabel := map[string]gpusim.MatMulConfig{}
-	for _, r := range results {
-		l := r.Config.String()
-		pts = append(pts, pareto.Point{Label: l, Time: r.Seconds, Energy: r.DynEnergyJ})
-		byLabel[l] = r.Config
+	pick, ok := s.front.Best(parindex.Query{MaxTime: job.DeadlineS})
+	if !ok {
+		pick = s.fastest()
 	}
-	// ε-constraint with the job's absolute deadline: express it as a
-	// degradation budget over the fastest point.
-	fastest := pts[0]
-	for _, q := range pts[1:] {
-		if q.Time < fastest.Time {
-			fastest = q
-		}
-	}
-	if fastest.Time > job.DeadlineS {
-		// Infeasible deadline: run the fastest anyway.
-		return byLabel[fastest.Label], nil
-	}
-	budgetPct := 100 * (job.DeadlineS - fastest.Time) / fastest.Time
-	pick, err := optimize.CheapestWithin(pts, budgetPct)
-	if err != nil {
-		return gpusim.MatMulConfig{}, err
-	}
-	return byLabel[pick.Label], nil
+	return s.configs[pick.Config], nil
 }
 
 // Stream generates a deterministic job stream: sizes from the given set,
@@ -144,16 +147,11 @@ func Stream(dev *gpusim.Device, sizes []int, products, count int, slackMax float
 		n := sizes[rng.Intn(len(sizes))]
 		fast, ok := fastCache[n]
 		if !ok {
-			results, err := dev.Sweep(gpusim.MatMulWorkload{N: n, Products: products})
+			s, err := sweep(dev, n, products)
 			if err != nil {
 				return nil, err
 			}
-			fast = results[0].Seconds
-			for _, r := range results[1:] {
-				if r.Seconds < fast {
-					fast = r.Seconds
-				}
-			}
+			fast = s.fastest().Time
 			fastCache[n] = fast
 		}
 		slack := 1 + rng.Float64()*(slackMax-1)

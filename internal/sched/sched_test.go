@@ -143,3 +143,62 @@ func TestRunStreamValidation(t *testing.T) {
 		t.Error("nil policy: want error")
 	}
 }
+
+// TestEnergyPolicyCacheKeysShape: the policy caches one sweep per
+// (N, Products) shape, so a (4096, 65)-shaped job must not leak its
+// sweep into a later (4097, 1) job.
+func TestEnergyPolicyCacheKeysShape(t *testing.T) {
+	dev := gpusim.NewP100()
+	first := Job{N: 4096, Products: 65, DeadlineS: 1e9}
+	second := Job{N: 4097, Products: 1, DeadlineS: 1e9}
+	p := NewEnergyPolicy()
+	rep, err := RunStream(dev, []Job{first, second}, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewEnergyPolicy().Pick(dev, second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rep.Outcomes[1].Config; got != want {
+		t.Errorf("after a %+v job, %+v picked %v, a fresh policy picks %v", first, second, got, want)
+	}
+}
+
+// TestEnergyPolicyDeadlineBoundary: a deadline exactly at a
+// configuration's time is met, and the pick is the cheapest of the
+// configurations that meet it.
+func TestEnergyPolicyDeadlineBoundary(t *testing.T) {
+	dev := gpusim.NewP100()
+	results, err := dev.Sweep(gpusim.MatMulWorkload{N: 4096, Products: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewEnergyPolicy()
+	for _, r := range results {
+		job := Job{N: 4096, Products: 4, DeadlineS: r.Seconds}
+		cfg, err := p.Pick(dev, job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		minE := r.DynEnergyJ
+		var picked *gpusim.Result
+		for _, q := range results {
+			if q.Seconds <= job.DeadlineS && q.DynEnergyJ < minE {
+				minE = q.DynEnergyJ
+			}
+			if q.Config == cfg {
+				picked = q
+			}
+		}
+		if picked == nil {
+			t.Fatalf("deadline %v: pick %v is not a swept configuration", job.DeadlineS, cfg)
+		}
+		if picked.Seconds > job.DeadlineS {
+			t.Errorf("deadline %v: pick %v takes %v", job.DeadlineS, cfg, picked.Seconds)
+		}
+		if picked.DynEnergyJ != minE {
+			t.Errorf("deadline %v: pick %v costs %vJ, the cheapest feasible costs %vJ", job.DeadlineS, cfg, picked.DynEnergyJ, minE)
+		}
+	}
+}

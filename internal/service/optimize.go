@@ -72,36 +72,6 @@ func queryInt(r *http.Request, name string) (int, bool, error) {
 	return v, true, nil
 }
 
-// bestOnFront applies parindex.Query semantics to an explicit entry
-// slice: max_time minimizes energy among points at most that slow,
-// max_energy minimizes time among points at most that hungry, both
-// applies both filters and minimizes energy. Used for the policy filter,
-// where the candidates are a subset of the stored front.
-func bestOnFront(entries []parindex.Entry, q parindex.Query) (parindex.Entry, bool) {
-	var best parindex.Entry
-	found := false
-	for _, e := range entries {
-		if q.MaxTime > 0 && e.Time > q.MaxTime {
-			continue
-		}
-		if q.MaxEnergy > 0 && e.Energy > q.MaxEnergy {
-			continue
-		}
-		better := !found
-		if found {
-			if q.MaxTime > 0 {
-				better = e.Energy < best.Energy
-			} else {
-				better = e.Time < best.Time
-			}
-		}
-		if better {
-			best, found = e, true
-		}
-	}
-	return best, found
-}
-
 // handleOptimize answers a constraint query from the incremental Pareto
 // index — the serving path of the streaming pipeline. No measurement
 // runs: the answer is a treap lookup over fronts that /measure and
@@ -180,35 +150,31 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	var frontSize int
 	if pol == "" {
 		best, frontSize, ok = s.index.Best(key, q)
-		if !ok && frontSize == 0 {
-			httpError(w, http.StatusNotFound, fmt.Sprintf(
-				"no indexed campaign for device=%q app=%q n=%d products=%d — run a /sweep (or /measure) for this workload first",
-				key.Device, key.App, key.N, key.Products))
-			return
-		}
 	} else {
+		// The strategy's points are a subset of the stored front, so
+		// every one is admitted to the local front.
 		entries := s.index.Entries(key)
-		if len(entries) == 0 {
-			httpError(w, http.StatusNotFound, fmt.Sprintf(
-				"no indexed campaign for device=%q app=%q n=%d products=%d — run a /sweep (or /measure) for this workload first",
-				key.Device, key.App, key.N, key.Products))
-			return
-		}
 		prefix := "pol=" + pol + "/"
-		var candidates []parindex.Entry
+		var front parindex.Front
 		for _, e := range entries {
 			if strings.HasPrefix(e.Config, prefix) {
-				candidates = append(candidates, e)
+				front.Insert(e)
 			}
 		}
-		if len(candidates) == 0 {
+		if len(entries) > 0 && front.Len() == 0 {
 			httpError(w, http.StatusNotFound, fmt.Sprintf(
 				"front holds %d non-dominated points for this workload but none under policy %q — run a policy /sweep, or the other strategy dominates here",
 				len(entries), pol))
 			return
 		}
-		frontSize = len(candidates)
-		best, ok = bestOnFront(candidates, q)
+		frontSize = front.Len()
+		best, ok = front.Best(q)
+	}
+	if frontSize == 0 {
+		httpError(w, http.StatusNotFound, fmt.Sprintf(
+			"no indexed campaign for device=%q app=%q n=%d products=%d — run a /sweep (or /measure) for this workload first",
+			key.Device, key.App, key.N, key.Products))
+		return
 	}
 	if !ok {
 		httpError(w, http.StatusNotFound, fmt.Sprintf(
