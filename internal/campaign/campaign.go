@@ -293,56 +293,6 @@ func measurePoint(ctx context.Context, dev device.Device, w device.Workload, c d
 	}, nil
 }
 
-// CompareConfigs measures two configurations of the same workload and
-// applies Welch's t-test to their dynamic-energy samples: are the two
-// points of a front *statistically* distinguishable at the methodology's
-// noise level? Front points closer than the measurement precision are
-// not, which is why the paper's precision target (2.5%) bounds how fine a
-// front structure any campaign can resolve.
-func CompareConfigs(dev device.Device, w device.Workload, c1, c2 device.Config, spec Spec, alpha float64) (*stats.WelchResult, error) {
-	if dev == nil {
-		return nil, errors.New("campaign: nil device")
-	}
-	if spec.Measure.Confidence == 0 {
-		spec.Measure = stats.DefaultMeasureSpec()
-		spec.Measure.CheckNormality = false
-	}
-	w = w.Normalized()
-	samplesFor := func(c device.Config, seed int64) (*stats.Sample, error) {
-		out, err := dev.Run(context.Background(), w, c)
-		if err != nil {
-			return nil, err
-		}
-		// The second sample uses an offset campaign seed so the two
-		// measurements are independent even when c1 == c2.
-		m := meter.NewMeter(dev.Spec().IdlePowerW, device.ConfigSeed(seed, c))
-		m.NoiseFrac = spec.NoiseFrac
-		if d := out.Run.Duration(); d < 50 {
-			m.SampleInterval = d / 50
-		}
-		meas, err := stats.Measure(spec.Measure, func() (float64, error) {
-			rep, err := m.MeasureRun(out.Run)
-			if err != nil {
-				return 0, err
-			}
-			return rep.DynamicEnergyJ, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return meas.Sample, nil
-	}
-	s1, err := samplesFor(c1, spec.Seed)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: measuring %v: %w", c1, err)
-	}
-	s2, err := samplesFor(c2, spec.Seed+104729)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: measuring %v: %w", c2, err)
-	}
-	return stats.WelchTTest(s1, s2, alpha)
-}
-
 // Record converts the campaign's measured values into a persistable
 // device-generic record (measured energy, true time — matching how the
 // paper measures kernel time with CUDA events but energy with the meter).

@@ -8,6 +8,15 @@ import (
 	"energyprop/internal/dense"
 )
 
+// parseProcStat is parseProcStatInto with a fresh map, for tests.
+func parseProcStat(text string) (map[int]parsedStat, error) {
+	out := map[int]parsedStat{}
+	if err := parseProcStatInto(text, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 func TestStatSnapshotAdvanceAndRender(t *testing.T) {
 	s := NewStatSnapshot(2)
 	if err := s.Advance(10, []float64{1.0, 0.5}); err != nil {

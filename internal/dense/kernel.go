@@ -21,6 +21,7 @@ import (
 // tests).
 //
 //lint:root hotalloc Fig 5 kernel; tile/Csub scratch is pooled, steady state must stay allocation-free
+//lint:ignore deadexport the Fig 5 kernel itself, kept as the executable reference for the gpusim model and benchmarked by BenchmarkGemmSharedKernelBS16
 func GemmSharedKernel(bs int, a, b, c *Matrix, groups int) error {
 	if err := checkGemmShapes(a, b, c); err != nil {
 		return err

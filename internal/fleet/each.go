@@ -8,9 +8,9 @@ import (
 )
 
 // Each runs fn over n items through the coordinator's deterministic
-// shard scheduler — like Map — but streams each result to commit in
-// strict item order instead of materializing a []T: the fleet analog
-// of parallel.Each. Results that complete out of item order (shards
+// shard scheduler and streams each result to commit in strict item
+// order: the fleet analog of parallel.Each, and the coordinator's one
+// fan-out entry point. Results that complete out of item order (shards
 // run concurrently and may be retried elsewhere after preemption) are
 // buffered until their predecessors land; whichever node-worker
 // completes the blocking item drains the contiguous prefix.

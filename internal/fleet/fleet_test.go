@@ -13,9 +13,41 @@ import (
 	"energyprop/internal/fault"
 )
 
-// registryFactory is the plain test factory: fresh p100 per node.
-func registryFactory() DeviceFactory {
-	return RegistryFactory("p100", fault.Plan{})
+// registryFactory is the common test factory: every node hosts a fresh
+// instance of the named registry device, optionally wrapped in a
+// deterministic device-fault injector whose plan seed is derived per
+// node (NodePlan). A zero plan skips the wrapper.
+func registryFactory(name string, plan fault.Plan) DeviceFactory {
+	return func(node string) (device.Device, error) {
+		dev, err := device.Open(name)
+		if err != nil {
+			return nil, err
+		}
+		if !plan.Enabled() {
+			return dev, nil
+		}
+		return fault.Wrap(dev, NodePlan(plan, node))
+	}
+}
+
+// forDevice builds a coordinator whose nodes each host the named
+// registry device under the given device-fault plan.
+func forDevice(name string, plan fault.Plan, opts Options) (*Coordinator, error) {
+	return New(opts, registryFactory(name, plan))
+}
+
+// collect runs fn over n items on the fleet and returns the results in
+// item order: Each with an appending commit.
+func collect[T any](ctx context.Context, c *Coordinator, n int, fn func(ctx context.Context, dev device.Device, item int) (T, error)) ([]T, error) {
+	out := make([]T, 0, n)
+	err := Each(ctx, c, n, fn, func(_ int, v T) error {
+		out = append(out, v)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // newCoord builds a coordinator or fails the test.
@@ -55,7 +87,7 @@ func TestOptionsValidate(t *testing.T) {
 		{"negative slow ticks", Options{Nodes: 2, Chaos: Chaos{SlowTicks: -2}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := New(tc.opts, registryFactory()); err == nil {
+			if _, err := New(tc.opts, registryFactory("p100", fault.Plan{})); err == nil {
 				t.Errorf("New accepted %+v", tc.opts)
 			}
 		})
@@ -141,8 +173,8 @@ func TestShardItems(t *testing.T) {
 }
 
 func TestMapCalmFleet(t *testing.T) {
-	c := newCoord(t, Options{Nodes: 3}, registryFactory())
-	out, err := Map(context.Background(), c, 7, func(_ context.Context, dev device.Device, i int) (int, error) {
+	c := newCoord(t, Options{Nodes: 3}, registryFactory("p100", fault.Plan{}))
+	out, err := collect(context.Background(), c, 7, func(_ context.Context, dev device.Device, i int) (int, error) {
 		if dev == nil || dev.Name() != "p100" {
 			t.Error("fn did not receive the hosted device")
 		}
@@ -166,8 +198,8 @@ func TestMapCalmFleet(t *testing.T) {
 }
 
 func TestMapZeroItems(t *testing.T) {
-	c := newCoord(t, Options{Nodes: 2}, registryFactory())
-	out, err := Map(context.Background(), c, 0, func(_ context.Context, _ device.Device, i int) (int, error) {
+	c := newCoord(t, Options{Nodes: 2}, registryFactory("p100", fault.Plan{}))
+	out, err := collect(context.Background(), c, 0, func(_ context.Context, _ device.Device, i int) (int, error) {
 		t.Error("fn called for an empty item set")
 		return 0, nil
 	})
@@ -187,10 +219,10 @@ func TestEachItemExecutesExactlyOnce(t *testing.T) {
 		ShardSize: 2,
 		Chaos:     Chaos{Seed: 11, Preempt: 0.4, Flaky: 0.3, Slow: 0.4},
 	}
-	c := newCoord(t, opts, registryFactory())
+	c := newCoord(t, opts, registryFactory("p100", fault.Plan{}))
 	var mu sync.Mutex
 	runs := make([]int, n)
-	if _, err := Map(context.Background(), c, n, func(_ context.Context, _ device.Device, i int) (int, error) {
+	if _, err := collect(context.Background(), c, n, func(_ context.Context, _ device.Device, i int) (int, error) {
 		mu.Lock()
 		runs[i]++
 		mu.Unlock()
@@ -228,8 +260,8 @@ func TestCordonAndRemediate(t *testing.T) {
 		CordonTicks: 2,
 		Chaos:       Chaos{Seed: 3, Flaky: 0.45},
 	}
-	c := newCoord(t, opts, registryFactory())
-	if _, err := Map(context.Background(), c, 12, func(_ context.Context, _ device.Device, i int) (int, error) {
+	c := newCoord(t, opts, registryFactory("p100", fault.Plan{}))
+	if _, err := collect(context.Background(), c, 12, func(_ context.Context, _ device.Device, i int) (int, error) {
 		return i, nil
 	}); err != nil {
 		t.Fatal(err)
@@ -264,8 +296,8 @@ func TestStrikeCordon(t *testing.T) {
 		MaxStrikes: 2,
 		Chaos:      Chaos{Seed: 5, Preempt: 0.5},
 	}
-	c := newCoord(t, opts, registryFactory())
-	if _, err := Map(context.Background(), c, 10, func(_ context.Context, _ device.Device, i int) (int, error) {
+	c := newCoord(t, opts, registryFactory("p100", fault.Plan{}))
+	if _, err := collect(context.Background(), c, 10, func(_ context.Context, _ device.Device, i int) (int, error) {
 		return i, nil
 	}); err != nil {
 		t.Fatal(err)
@@ -298,8 +330,8 @@ func TestStallAborts(t *testing.T) {
 		StallRounds: 5,
 		Chaos:       Chaos{Seed: 1, Flaky: 1},
 	}
-	c := newCoord(t, opts, registryFactory())
-	_, err := Map(context.Background(), c, 4, func(_ context.Context, _ device.Device, i int) (int, error) {
+	c := newCoord(t, opts, registryFactory("p100", fault.Plan{}))
+	_, err := collect(context.Background(), c, 4, func(_ context.Context, _ device.Device, i int) (int, error) {
 		return i, nil
 	})
 	if err == nil || !strings.Contains(err.Error(), "stalled") {
@@ -308,9 +340,9 @@ func TestStallAborts(t *testing.T) {
 }
 
 func TestMapPropagatesFnError(t *testing.T) {
-	c := newCoord(t, Options{Nodes: 2}, registryFactory())
+	c := newCoord(t, Options{Nodes: 2}, registryFactory("p100", fault.Plan{}))
 	boom := errors.New("boom")
-	if _, err := Map(context.Background(), c, 6, func(_ context.Context, _ device.Device, i int) (int, error) {
+	if _, err := collect(context.Background(), c, 6, func(_ context.Context, _ device.Device, i int) (int, error) {
 		if i == 3 {
 			return 0, boom
 		}
@@ -323,8 +355,8 @@ func TestMapPropagatesFnError(t *testing.T) {
 func TestMapHonorsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	c := newCoord(t, Options{Nodes: 2}, registryFactory())
-	if _, err := Map(ctx, c, 4, func(_ context.Context, _ device.Device, i int) (int, error) {
+	c := newCoord(t, Options{Nodes: 2}, registryFactory("p100", fault.Plan{}))
+	if _, err := collect(ctx, c, 4, func(_ context.Context, _ device.Device, i int) (int, error) {
 		return i, nil
 	}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -336,7 +368,7 @@ func TestFactoryErrorSurfaces(t *testing.T) {
 	c := newCoord(t, Options{Nodes: 2}, func(node string) (device.Device, error) {
 		return nil, bad
 	})
-	if _, err := Map(context.Background(), c, 4, func(_ context.Context, _ device.Device, i int) (int, error) {
+	if _, err := collect(context.Background(), c, 4, func(_ context.Context, _ device.Device, i int) (int, error) {
 		return i, nil
 	}); !errors.Is(err, bad) {
 		t.Fatalf("err = %v, want factory error", err)
@@ -362,7 +394,7 @@ func TestRemediationReopensDevice(t *testing.T) {
 		Chaos:       Chaos{Seed: 3, Flaky: 0.5},
 	}
 	c := newCoord(t, opts, factory)
-	if _, err := Map(context.Background(), c, 8, func(_ context.Context, _ device.Device, i int) (int, error) {
+	if _, err := collect(context.Background(), c, 8, func(_ context.Context, _ device.Device, i int) (int, error) {
 		return i, nil
 	}); err != nil {
 		t.Fatal(err)
@@ -389,8 +421,8 @@ func TestEventLogReplaysFromSeed(t *testing.T) {
 			Parallelism: parallelism,
 			Chaos:       Chaos{Seed: seed, Preempt: 0.3, Flaky: 0.25, Slow: 0.3},
 		}
-		c := newCoord(t, opts, registryFactory())
-		if _, err := Map(context.Background(), c, 14, func(_ context.Context, _ device.Device, i int) (int, error) {
+		c := newCoord(t, opts, registryFactory("p100", fault.Plan{}))
+		if _, err := collect(context.Background(), c, 14, func(_ context.Context, _ device.Device, i int) (int, error) {
 			return i, nil
 		}); err != nil {
 			t.Fatal(err)
@@ -425,7 +457,7 @@ func TestEventString(t *testing.T) {
 
 func TestRegistryFactoryDerivesNodePlans(t *testing.T) {
 	plan := fault.Plan{Seed: 9, Transient: 0.5}
-	f := RegistryFactory("p100", plan)
+	f := registryFactory("p100", plan)
 	d0, err := f("node0")
 	if err != nil {
 		t.Fatal(err)

@@ -93,6 +93,7 @@ func AllRules() []Rule {
 		PureRun{},
 		HotAlloc{},
 		LockOrder{},
+		DeadExport{},
 	}
 }
 

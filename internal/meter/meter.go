@@ -143,7 +143,7 @@ type Meter struct {
 	// SpikeProb is set and SpikeFactor is 0).
 	SpikeFactor float64
 	// RecordTrace, when set, stores the raw (time, power) samples in the
-	// report for downstream trace analysis (internal/trace).
+	// report for downstream trace analysis.
 	RecordTrace bool
 
 	rng *rand.Rand

@@ -101,21 +101,6 @@ func merge(a, b *node) *node {
 	return b
 }
 
-// splitLE splits t into (keys with Time <= cut, keys with Time > cut).
-func splitLE(t *node, cut float64) (le, gt *node) {
-	if t == nil {
-		return nil, nil
-	}
-	if t.e.Time <= cut {
-		l, g := splitLE(t.right, cut)
-		t.right = l
-		return t, g
-	}
-	l, g := splitLE(t.left, cut)
-	t.left = g
-	return l, t
-}
-
 // splitLT splits t into (keys with Time < cut, keys with Time >= cut).
 func splitLT(t *node, cut float64) (lt, ge *node) {
 	if t == nil {

@@ -1,39 +1,55 @@
 package stats
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 )
 
-func TestTrimmedMeanBasics(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 100}
-	plain, err := TrimmedMean(xs, 0)
-	if err != nil {
-		t.Fatal(err)
+// MAD returns the median absolute deviation (scaled by 1.4826 so it
+// estimates the standard deviation of normal data).
+func MAD(xs []float64) (float64, error) {
+	if len(xs) == 0 {
+		return 0, errors.New("stats: empty input")
 	}
-	if !almostEqual(plain, 22, 1e-12) {
-		t.Errorf("plain mean = %v, want 22", plain)
+	med := NewSample(xs...).Median()
+	devs := make([]float64, len(xs))
+	for i, x := range xs {
+		devs[i] = math.Abs(x - med)
 	}
-	trimmed, err := TrimmedMean(xs, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(trimmed, 3, 1e-12) {
-		t.Errorf("20%% trimmed mean = %v, want 3 (drops 1 and 100)", trimmed)
-	}
+	return 1.4826 * NewSample(devs...).Median(), nil
 }
 
-func TestTrimmedMeanValidation(t *testing.T) {
-	if _, err := TrimmedMean(nil, 0.1); err == nil {
-		t.Error("empty: want error")
+// RejectOutliers returns the observations within k MADs of the median
+// (k = 3 is customary) and the number rejected. Constant data is returned
+// unchanged. It is the batch oracle for Measure's incremental rejection.
+func RejectOutliers(xs []float64, k float64) (kept []float64, rejected int, err error) {
+	if len(xs) == 0 {
+		return nil, 0, errors.New("stats: empty input")
 	}
-	if _, err := TrimmedMean([]float64{1}, 0.5); err == nil {
-		t.Error("frac=0.5: want error")
+	if k <= 0 {
+		return nil, 0, errors.New("stats: k must be positive")
 	}
-	if _, err := TrimmedMean([]float64{1}, -0.1); err == nil {
-		t.Error("negative frac: want error")
+	mad, err := MAD(xs)
+	if err != nil {
+		return nil, 0, err
 	}
+	if mad == 0 {
+		return append([]float64(nil), xs...), 0, nil
+	}
+	med := NewSample(xs...).Median()
+	for _, x := range xs {
+		if math.Abs(x-med) <= k*mad {
+			kept = append(kept, x)
+		} else {
+			rejected++
+		}
+	}
+	if len(kept) == 0 {
+		return nil, 0, errors.New("stats: every observation rejected")
+	}
+	return kept, rejected, nil
 }
 
 func TestMAD(t *testing.T) {
@@ -109,5 +125,53 @@ func TestRobustPipelineRecoversCleanMean(t *testing.T) {
 	}
 	if math.Abs(robust-clean)/clean > 0.005 {
 		t.Errorf("robust mean %v more than 0.5%% off", robust)
+	}
+}
+
+// TestMeasureRejectionMatchesOracle checks that the measurement loop's
+// incremental rejection (measureState.effective) keeps exactly what a
+// batch RejectOutliers over the raw draws keeps, in the same order and
+// bit for bit, across random specs and spike-contaminated observables.
+func TestMeasureRejectionMatchesOracle(t *testing.T) {
+	for seed := int64(1); seed <= 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		spec := MeasureSpec{
+			Confidence:      []float64{0.9, 0.95, 0.99}[rng.Intn(3)],
+			Precision:       0.002 + 0.05*rng.Float64(),
+			MinRuns:         5 + rng.Intn(20),
+			RejectOutliersK: 0.5 + 4*rng.Float64(),
+		}
+		spec.MaxRuns = spec.MinRuns + rng.Intn(80)
+		spikeP, noise := 0.3*rng.Float64(), 0.05*rng.Float64()
+		quantized := rng.Intn(4) == 0 // ties, including MAD = 0
+		var raw []float64
+		m, err := Measure(spec, func() (float64, error) {
+			x := 100 * (1 + noise*rng.NormFloat64())
+			if rng.Float64() < spikeP {
+				x *= 1 + rng.Float64()
+			}
+			if quantized {
+				x = math.Round(x / 10)
+			}
+			raw = append(raw, x)
+			return x, nil
+		})
+		if err != nil && !errors.Is(err, ErrNoConvergence) {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		want, rejected, oerr := RejectOutliers(raw, spec.RejectOutliersK)
+		if oerr != nil || rejected == 0 {
+			want, rejected = raw, 0 // nothing (or everything) rejected: the whole raw sample
+		}
+		got := m.Sample.Values()
+		if m.Rejected != rejected || len(got) != len(want) {
+			t.Fatalf("seed %d: Measure kept %d rejected %d, oracle kept %d rejected %d",
+				seed, len(got), m.Rejected, len(want), rejected)
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("seed %d: observation %d = %v, oracle %v", seed, i, got[i], want[i])
+			}
+		}
 	}
 }

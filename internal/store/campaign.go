@@ -1,3 +1,7 @@
+// Package store persists measured campaigns as JSON so they can be
+// captured once and re-analyzed (fronts, trade-offs, models) without
+// re-running the simulators — mirroring how the paper's tooling
+// separates the expensive measurement step from the analysis step.
 package store
 
 import (
@@ -9,6 +13,9 @@ import (
 	"energyprop/internal/device"
 	"energyprop/internal/pareto"
 )
+
+// FormatVersion identifies the on-disk schema.
+const FormatVersion = 1
 
 // MeasuredPoint is one configuration's persisted measured outcome in a
 // device-generic campaign: the configuration is identified by its stable
@@ -49,9 +56,8 @@ type FailedPoint struct {
 	Error string `json:"error"`
 }
 
-// CampaignRecord is one measured campaign on any registered device — the
-// backend-neutral successor of SweepRecord (which remains the schema of
-// GPU-native model-true sweeps).
+// CampaignRecord is one measured campaign on any registered device; its
+// schema is the same for every backend.
 type CampaignRecord struct {
 	Version int `json:"version"`
 	// Device is the hardware catalog name.
@@ -131,6 +137,8 @@ func (c *CampaignRecord) Validate() error {
 }
 
 // SaveCampaign writes the record as indented JSON.
+//
+//lint:ignore deadexport the byte-identity reference that CampaignWriter and the campaign and fleet tests compare against
 func SaveCampaign(w io.Writer, rec *CampaignRecord) error {
 	if rec == nil {
 		return errors.New("store: nil record")
