@@ -20,16 +20,17 @@ vet:
 lint:
 	$(GO) run ./cmd/epvet ./...
 
-# bench-baseline snapshots the whole benchmark suite (one iteration per
-# benchmark keeps it fast; allocs/op is iteration-count independent) as
-# BENCH.json via cmd/benchjson — the single committed baseline; earlier
-# snapshots live in git history. Commit the refreshed BENCH.json when a
+# bench-baseline snapshots the whole benchmark suite as BENCH.json via
+# cmd/benchjson — the single committed baseline; earlier snapshots live
+# in git history. Each benchmark runs five timed rounds and benchjson
+# keeps the per-metric median, so the recorded ns/op is a steady-state
+# figure rather than a one-iteration cold start. Commit the refreshed BENCH.json when a
 # PR intentionally moves a hot path; CI diffs the current run against it
 # (`benchjson -diff BENCH.json bench-current.json`) so any drift is
 # visible in review, and `benchjson -gate BENCH_BUDGET.json` holds the
 # headline benchmarks to explicit allocs/op budgets.
 bench-baseline:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x ./... | $(GO) run ./cmd/benchjson > BENCH.json
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime 200ms -count 5 ./... | $(GO) run ./cmd/benchjson > BENCH.json
 
 # bench-gate replays the suite and enforces the committed allocs/op
 # budgets — the deterministic benchmark metric — without touching the

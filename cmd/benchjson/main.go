@@ -7,7 +7,8 @@
 //
 // The GOMAXPROCS suffix (-8 in BenchmarkFoo-8) is stripped so baselines
 // diff cleanly across machines; the package path prefix keeps same-named
-// benchmarks in different packages apart.
+// benchmarks in different packages apart. When a benchmark appears more
+// than once (go test -count N), each metric is the median of its lines.
 //
 // With -diff, benchjson instead compares two baseline files:
 //
@@ -98,9 +99,10 @@ func run(stdin io.Reader, stdout, stderr io.Writer) int {
 }
 
 // parse scans go-test benchmark output: `pkg:` lines set the package
-// qualifier for the Benchmark lines that follow it.
+// qualifier for the Benchmark lines that follow it. Repeated lines of
+// one benchmark (from -count) fold into their per-metric median.
 func parse(r io.Reader) (map[string]Result, error) {
-	out := map[string]Result{}
+	runs := map[string][]Result{}
 	pkg := ""
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
@@ -120,9 +122,34 @@ func parse(r io.Reader) (map[string]Result, error) {
 		if pkg != "" {
 			name = pkg + "." + name
 		}
-		out[name] = res
+		runs[name] = append(runs[name], res)
+	}
+	out := make(map[string]Result, len(runs))
+	for name, rs := range runs {
+		out[name] = Result{
+			Iterations:  int64(median(rs, func(r Result) float64 { return float64(r.Iterations) })),
+			NsPerOp:     median(rs, func(r Result) float64 { return r.NsPerOp }),
+			BytesPerOp:  median(rs, func(r Result) float64 { return r.BytesPerOp }),
+			AllocsPerOp: median(rs, func(r Result) float64 { return r.AllocsPerOp }),
+		}
 	}
 	return out, sc.Err()
+}
+
+// median returns the median of one metric over a benchmark's repeated
+// runs: the middle value, or the mean of the middle two for an even
+// count. A single run is returned unchanged.
+func median(rs []Result, metric func(Result) float64) float64 {
+	vs := make([]float64, len(rs))
+	for i, r := range rs {
+		vs[i] = metric(r)
+	}
+	sort.Float64s(vs)
+	mid := len(vs) / 2
+	if len(vs)%2 == 1 {
+		return vs[mid]
+	}
+	return (vs[mid-1] + vs[mid]) / 2
 }
 
 // parseBenchLine splits one result line — name, iteration count, then

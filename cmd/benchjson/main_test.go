@@ -63,6 +63,32 @@ func TestParsesQualifiedNamesAndMetrics(t *testing.T) {
 	}
 }
 
+func TestRepeatedLinesFoldToMedian(t *testing.T) {
+	// go test -count repeats each benchmark line; the baseline keeps the
+	// per-metric median, not the last line.
+	in := `pkg: energyprop/internal/gpusim
+BenchmarkOdd-2 	 100	 300 ns/op	 10 B/op	 1 allocs/op
+BenchmarkOdd-2 	 120	 100 ns/op	 30 B/op	 3 allocs/op
+BenchmarkOdd-2 	 110	 900 ns/op	 20 B/op	 2 allocs/op
+BenchmarkEven-2 	 10	 400 ns/op	 8 B/op	 1 allocs/op
+BenchmarkEven-2 	 30	 100 ns/op	 8 B/op	 1 allocs/op
+BenchmarkEven-2 	 20	 200 ns/op	 8 B/op	 1 allocs/op
+BenchmarkEven-2 	 40	 999 ns/op	 8 B/op	 1 allocs/op
+`
+	res, _, code := runParse(t, in)
+	if code != 0 {
+		t.Fatalf("exit %d", code)
+	}
+	odd := res["energyprop/internal/gpusim.BenchmarkOdd"]
+	if want := (Result{Iterations: 110, NsPerOp: 300, BytesPerOp: 20, AllocsPerOp: 2}); odd != want {
+		t.Errorf("odd count = %+v, want per-metric median %+v", odd, want)
+	}
+	even := res["energyprop/internal/gpusim.BenchmarkEven"]
+	if want := (Result{Iterations: 25, NsPerOp: 300, BytesPerOp: 8, AllocsPerOp: 1}); even != want {
+		t.Errorf("even count = %+v, want mean of the middle two %+v", even, want)
+	}
+}
+
 func TestProcSuffixOnlyStripsNumbers(t *testing.T) {
 	for in, want := range map[string]string{
 		"BenchmarkFoo-8":               "BenchmarkFoo",

@@ -1,6 +1,7 @@
 package cpusim
 
 import (
+	"runtime/debug"
 	"testing"
 
 	"energyprop/internal/dense"
@@ -116,6 +117,10 @@ func TestBandwidthWarmRunsAllocationFree(t *testing.T) {
 	// The Into variants ride the pooled scratch and caller-owned result,
 	// so the steady-state contract of the zero-alloc engine extends to
 	// the new families.
+	if raceEnabled {
+		t.Skip("the race runtime randomly drops sync.Pool puts, so pooled paths allocate under -race")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	m := NewHaswell()
 	cfg := dense.Config{Groups: 2, ThreadsPerGroup: 6}
 	out := &Result{}

@@ -12,7 +12,8 @@ import (
 // allocation-free today, this rule keeps them that way tomorrow. Any
 // function transitively reachable from a `//lint:root hotalloc` mark
 // (the GEMM/FFT kernels, memo.Digest, the cpusim execution engine, the
-// stats measurement step) may not
+// gpusim traced-schedule sort and merge, the stats measurement step)
+// may not
 // append, make, call into fmt, or create a variable-capturing closure —
 // each of those is a heap allocation on the per-point hot loop once
 // escape analysis gives up.
@@ -27,7 +28,7 @@ type HotAlloc struct{}
 func (HotAlloc) Name() string { return "hotalloc" }
 
 func (HotAlloc) Doc() string {
-	return "no append/make/fmt/capturing-closure allocations reachable from //lint:root hotalloc hot paths (GEMM/FFT kernels, memo.Digest, cpusim.runThreads, stats measureState.step)"
+	return "no append/make/fmt/capturing-closure allocations reachable from //lint:root hotalloc hot paths (GEMM/FFT kernels, memo.Digest, cpusim.runThreads, gpusim schedule occupancy, stats measureState.step)"
 }
 
 func (HotAlloc) Check(pkg *Package) []Finding { return nil }

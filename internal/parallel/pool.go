@@ -137,14 +137,15 @@ func NewProgress(total int, fn func(done, total int)) *Progress {
 	return &Progress{total: total, fn: fn}
 }
 
-// Tick records one completed item and reports it to the callback.
+// Tick records one completed item and reports it to the callback. The
+// callback runs under the mutex, so calls never overlap and their done
+// counts arrive in increasing order.
 func (p *Progress) Tick() {
 	if p == nil || p.fn == nil {
 		return
 	}
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.done++
-	d := p.done
-	p.mu.Unlock()
-	p.fn(d, p.total)
+	p.fn(p.done, p.total)
 }

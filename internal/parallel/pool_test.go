@@ -187,6 +187,30 @@ func TestProgressSerializedAndComplete(t *testing.T) {
 	}
 }
 
+func TestProgressCallbackNeedsNoLocking(t *testing.T) {
+	// The callback mutates plain locals: Tick must serialize the calls
+	// (race-clean under -race) and deliver done counts in order.
+	calls, last := 0, 0
+	inOrder := true
+	p := NewProgress(200, func(done, total int) {
+		calls++
+		if done != last+1 {
+			inOrder = false
+		}
+		last = done
+	})
+	_, err := Map(context.Background(), 8, 200, func(_ context.Context, i int) (int, error) {
+		p.Tick()
+		return i, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != 200 || !inOrder {
+		t.Errorf("%d callbacks, in order %v; want 200 in order", calls, inOrder)
+	}
+}
+
 func TestProgressNilSafe(t *testing.T) {
 	var p *Progress
 	p.Tick() // must not panic

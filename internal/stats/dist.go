@@ -14,6 +14,7 @@ package stats
 import (
 	"errors"
 	"math"
+	"sync"
 )
 
 // maxIter bounds the series/continued-fraction iterations in the
@@ -200,7 +201,46 @@ func StudentTCDF(t, nu float64) (float64, error) {
 // fraction `confidence` of the t-distribution with nu degrees of freedom
 // lies within (-t*, +t*). It is the value the paper's measurement loop
 // multiplies the standard error by.
+//
+// The measurement loop asks for the same few (confidence, df) pairs on
+// every iteration of every point, so results are memoised. The memo is
+// filled by the bisection itself, so a cached value is bit-identical to
+// a fresh one; it stops growing at tQuantileCacheCap entries and later
+// pairs are computed uncached.
 func StudentTQuantile(confidence float64, nu float64) (float64, error) {
+	key := tQuantileKey{confidence, nu}
+	tQuantileMu.Lock()
+	q, ok := tQuantileCache[key]
+	tQuantileMu.Unlock()
+	if ok {
+		return q, nil
+	}
+	q, err := studentTQuantile(confidence, nu)
+	if err != nil {
+		return 0, err
+	}
+	tQuantileMu.Lock()
+	if len(tQuantileCache) < tQuantileCacheCap {
+		tQuantileCache[key] = q
+	}
+	tQuantileMu.Unlock()
+	return q, nil
+}
+
+// tQuantileCacheCap bounds the StudentTQuantile memo. The measurement
+// loop needs one entry per run count at its confidence level; library
+// callers passing arbitrary levels cannot grow it past this.
+const tQuantileCacheCap = 4096
+
+type tQuantileKey struct{ confidence, nu float64 }
+
+var (
+	tQuantileMu    sync.Mutex
+	tQuantileCache = map[tQuantileKey]float64{}
+)
+
+// studentTQuantile is StudentTQuantile's uncached bisection.
+func studentTQuantile(confidence float64, nu float64) (float64, error) {
 	if confidence <= 0 || confidence >= 1 {
 		return 0, errors.New("stats: confidence must be in (0,1)")
 	}

@@ -1,7 +1,9 @@
 package stats
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -146,6 +148,115 @@ func TestStudentTQuantileInvalid(t *testing.T) {
 	}
 	if _, err := StudentTQuantile(0.95, 0); err == nil {
 		t.Error("nu = 0: want error")
+	}
+}
+
+// resetTQuantileCache empties the StudentTQuantile memo so a test sees
+// a cold cache.
+func resetTQuantileCache() {
+	tQuantileMu.Lock()
+	clear(tQuantileCache)
+	tQuantileMu.Unlock()
+}
+
+func tQuantileCacheLen() int {
+	tQuantileMu.Lock()
+	defer tQuantileMu.Unlock()
+	return len(tQuantileCache)
+}
+
+// TestStudentTQuantileMemoBitIdentical: a memoised quantile is the exact
+// value the uncached bisection computes, on a cold and on a warm cache.
+func TestStudentTQuantileMemoBitIdentical(t *testing.T) {
+	type query struct{ conf, nu float64 }
+	var queries []query
+	for df := 1; df <= 1000; df++ {
+		queries = append(queries, query{0.95, float64(df)})
+	}
+	for _, conf := range []float64{0.5, 0.9, 0.99, 0.999} {
+		for df := 1; df <= 100; df++ {
+			queries = append(queries, query{conf, float64(df)})
+		}
+	}
+	resetTQuantileCache()
+	for _, pass := range []string{"cold", "warm"} {
+		for _, q := range queries {
+			got, err := StudentTQuantile(q.conf, q.nu)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := studentTQuantile(q.conf, q.nu)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s cache: t*(%v, nu=%v) = %v, bisection %v", pass, q.conf, q.nu, got, want)
+			}
+		}
+		if n := tQuantileCacheLen(); n != len(queries) {
+			t.Fatalf("%s cache holds %d entries, want %d", pass, n, len(queries))
+		}
+	}
+}
+
+// TestStudentTQuantileMemoCapped: past the cap, lookups are computed
+// without caching and still return the bisection's value.
+func TestStudentTQuantileMemoCapped(t *testing.T) {
+	resetTQuantileCache()
+	defer resetTQuantileCache()
+	tQuantileMu.Lock()
+	for i := 0; i < tQuantileCacheCap; i++ {
+		tQuantileCache[tQuantileKey{0.5, -float64(i + 1)}] = 0
+	}
+	tQuantileMu.Unlock()
+	got, err := StudentTQuantile(0.95, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := studentTQuantile(0.95, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("uncached t*(0.95, 7) = %v, bisection %v", got, want)
+	}
+	if n := tQuantileCacheLen(); n != tQuantileCacheCap {
+		t.Errorf("cache grew to %d entries past its cap %d", n, tQuantileCacheCap)
+	}
+}
+
+// TestStudentTQuantileMemoConcurrent: concurrent lookups of the same
+// keys on a cold cache agree with the bisection (and are race-clean
+// under -race).
+func TestStudentTQuantileMemoConcurrent(t *testing.T) {
+	resetTQuantileCache()
+	want := make([]float64, 200)
+	for i := range want {
+		q, err := studentTQuantile(0.95, float64(i+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = q
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range want {
+				got, err := StudentTQuantile(0.95, float64(i+1))
+				if err != nil || math.Float64bits(got) != math.Float64bits(want[i]) {
+					errs <- fmt.Sprintf("t*(0.95, nu=%d) = %v (err %v), want %v", i+1, got, err, want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for msg := range errs {
+		t.Error(msg)
 	}
 }
 
