@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -21,10 +22,9 @@ func FuzzReadPoints(f *testing.F) {
 			return // rejections are fine; panics are not
 		}
 		for _, p := range pts {
-			// Parsed points must carry finite numerics (ParseFloat accepts
-			// "NaN"/"Inf" strings; the tool tolerates them, so just ensure
-			// labels survived the quote handling).
-			_ = p.Label
+			if !(p.Time > 0 && p.Energy > 0) || math.IsInf(p.Time, 0) || math.IsInf(p.Energy, 0) {
+				t.Fatalf("accepted a non-positive or non-finite point %+v", p)
+			}
 		}
 	})
 }

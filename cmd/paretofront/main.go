@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -105,7 +106,9 @@ func main() {
 //   - legacy:   label,bs,g,r,seconds,dyn_power_w,dyn_energy_j,...
 //
 // The first field may be double-quoted (older sweeps quoted config
-// labels containing commas; current config keys need no quoting).
+// labels containing commas; current config keys need no quoting). Time
+// and energy must be positive finite numbers: the front's dominance
+// order and the trade-off percentages are undefined otherwise.
 func forEachPoint(r io.Reader, fn func(pareto.Point) error) error {
 	sc := bufio.NewScanner(r)
 	lineNo := 0
@@ -140,6 +143,11 @@ func forEachPoint(r io.Reader, fn func(pareto.Point) error) error {
 				continue // header
 			}
 			return fmt.Errorf("line %d: bad numeric fields", lineNo)
+		}
+		for _, v := range [2]float64{t, e} {
+			if math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
+				return fmt.Errorf("line %d: time and energy must be positive finite numbers, got %v", lineNo, v)
+			}
 		}
 		if err := fn(pareto.Point{Label: label, Time: t, Energy: e}); err != nil {
 			return err

@@ -100,6 +100,19 @@ func TestReadPointsErrors(t *testing.T) {
 	}
 }
 
+// TestReadPointsRejectsNonPositiveOrNonFinite: NaN, ±Inf, zero and
+// negative coordinates are rejected with the line number, so the
+// streamed front and -ranks never see a point they order differently.
+func TestReadPointsRejectsNonPositiveOrNonFinite(t *testing.T) {
+	for _, row := range []string{"b,NaN,1", "b,1,NaN", "b,Inf,1", "b,1,-Inf", "b,0,1", "b,1,0", "b,-1,1", "b,1,-2"} {
+		in := "a,1,5\n" + row + "\nc,2,3\n"
+		_, err := readPoints(strings.NewReader(in))
+		if err == nil || !strings.Contains(err.Error(), "line 2") {
+			t.Errorf("%q: err = %v, want a line 2 error", row, err)
+		}
+	}
+}
+
 func TestSplitLabel(t *testing.T) {
 	label, rest, err := splitLabel("plain,1,2")
 	if err != nil || label != "plain" || rest != "1,2" {

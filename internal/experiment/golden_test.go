@@ -16,7 +16,7 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden files")
 // zero-alloc scratch/caching refactor of the cpusim hot path is provably
 // output-neutral: their goldens were generated from the pre-refactor
 // implementation and must stay byte-identical. The scheduler table pins
-// the per-job configuration picks of internal/sched's policies.
+// each policy's deadline misses and total time and energy per device.
 // Regenerate intentionally with: go test ./internal/experiment -run Golden -update
 func TestGoldenOutputs(t *testing.T) {
 	for _, id := range []string{"table1", "theory", "dvfs", "cpumodel", "fig4", "scheduler"} {

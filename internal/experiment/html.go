@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 	"html/template"
+	"sort"
 	"strings"
 )
 
@@ -37,7 +38,7 @@ func RenderHTML(ids []string, opt Options) (string, error) {
 	for name := range figures {
 		figNames = append(figNames, name)
 	}
-	sortStrings(figNames)
+	sort.Strings(figNames)
 
 	var b strings.Builder
 	b.WriteString(`<!DOCTYPE html>
@@ -87,12 +88,4 @@ regenerates with <code>epstudy -run &lt;id&gt;</code>.</p>
 	}
 	b.WriteString("</body></html>\n")
 	return b.String(), nil
-}
-
-func sortStrings(xs []string) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

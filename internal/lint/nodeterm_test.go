@@ -77,7 +77,7 @@ func main() {
 }
 
 func TestNoDetermResolvesRenamedImports(t *testing.T) {
-	src := `package sched
+	src := `package experiment
 
 import (
 	mrand "math/rand"
@@ -93,7 +93,7 @@ func decoy() int {
 	return rand.Intn(3)
 }
 `
-	checkFixture(t, []Rule{NoDeterm{}}, "energyprop/internal/sched", src, []want{
+	checkFixture(t, []Rule{NoDeterm{}}, "energyprop/internal/experiment", src, []want{
 		{line: 8, rule: "nodeterm", substr: "rand.Int"},
 	})
 }

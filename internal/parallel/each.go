@@ -6,10 +6,12 @@ import (
 	"sync/atomic"
 )
 
-// Each runs fn(ctx, i) for every i in [0, n) on a bounded pool — the
-// same claiming, cancellation, and lowest-index error selection as Map —
-// but instead of materializing a []T it streams each result to commit
-// in strict index order as soon as its contiguous prefix is complete.
+// Each runs fn(ctx, i) for every i in [0, n) on a bounded pool: workers
+// claim indexes in increasing order, the first error by index (not by
+// wall-clock) cancels the remaining work and is returned, and ctx
+// cancellation stops the pool between items. Each result is streamed to
+// commit in strict index order as soon as its contiguous prefix is
+// complete.
 // Item 3's commit never waits on item 5's fn, only on items 0-2, so a
 // slow straggler delays exactly the results behind it.
 //
@@ -45,6 +47,7 @@ func Each[T any](ctx context.Context, workers, n int, fn func(ctx context.Contex
 		return nil
 	}
 
+	parent := ctx
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -66,6 +69,13 @@ func Each[T any](ctx context.Context, workers, n int, fn func(ctx context.Contex
 		}
 		mu.Unlock()
 		cancel()
+	}
+	// decided reports whether an error below index i has fixed the
+	// result, so item i need not run.
+	decided := func(i int) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return firstErr != nil && firstIdx < i
 	}
 	// deliver hands one completed result to the committer: it buffers v,
 	// then drains the contiguous prefix. Whichever worker completes the
@@ -102,9 +112,17 @@ func Each[T any](ctx context.Context, workers, n int, fn func(ctx context.Contex
 				if i >= n {
 					return
 				}
-				if err := ctx.Err(); err != nil {
-					fail(i, err)
-					return
+				if ctx.Err() != nil {
+					if err := parent.Err(); err != nil {
+						fail(i, err)
+						return
+					}
+					// An item failed. Stop if its index is lower; otherwise
+					// run item i, as a serial loop would have before
+					// reaching the failure.
+					if decided(i) {
+						return
+					}
 				}
 				v, err := fn(ctx, i)
 				if err != nil {

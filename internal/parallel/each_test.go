@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -93,6 +94,28 @@ func TestEachFnErrorLowestIndex(t *testing.T) {
 			if i >= 10 {
 				t.Fatalf("workers=%d: committed %d past failing index", workers, i)
 			}
+		}
+	}
+}
+
+// TestEachLowestIndexErrorUnderCancel: a worker that claimed an index
+// below the failing one but sees the pool's cancellation before running
+// it must not report the cancellation in place of the item's error.
+// The window is a few instructions wide, so the test repeats the sweep
+// with yields in fn; it caught the defect under -race in every run.
+func TestEachLowestIndexErrorUnderCancel(t *testing.T) {
+	for r := 0; r < 2000; r++ {
+		err := Each(context.Background(), 16, 50,
+			func(_ context.Context, i int) (int, error) {
+				runtime.Gosched()
+				if i >= 10 && i%2 == 0 {
+					return 0, fmt.Errorf("item %d", i)
+				}
+				return i, nil
+			},
+			func(int, int) error { return nil })
+		if err == nil || err.Error() != "item 10" {
+			t.Fatalf("round %d: err = %v, want item 10", r, err)
 		}
 	}
 }

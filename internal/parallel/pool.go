@@ -21,7 +21,6 @@ import (
 	"context"
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // DefaultWorkers resolves a worker-count request: values < 1 mean "one
@@ -41,11 +40,11 @@ func DefaultWorkers(workers, n int) int {
 	return workers
 }
 
-// Map runs fn(ctx, i) for every i in [0, n) on a bounded pool of worker
-// goroutines and returns the results in index order. workers < 1 selects
-// runtime.GOMAXPROCS(0); workers == 1 degenerates to a plain serial loop
-// (no goroutines are spawned), which is the reference path the
-// determinism tests compare against.
+// Map runs fn(ctx, i) for every i in [0, n) through Each and returns
+// the results in index order. workers < 1 selects runtime.GOMAXPROCS(0);
+// workers == 1 degenerates to a plain serial loop (no goroutines are
+// spawned), which is the reference path the determinism tests compare
+// against.
 //
 // The first error (by item index, not by wall-clock) cancels the
 // remaining work and is returned; likewise ctx cancellation stops the
@@ -56,68 +55,12 @@ func Map[T any](ctx context.Context, workers, n int, fn func(ctx context.Context
 	if n <= 0 {
 		return nil, nil
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	out := make([]T, n)
-	workers = DefaultWorkers(workers, n)
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			r, err := fn(ctx, i)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = r
-		}
-		return out, nil
-	}
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var (
-		next     atomic.Int64 // next item index to claim
-		mu       sync.Mutex   // guards firstErr/firstIdx
-		firstErr error
-		firstIdx int
-		wg       sync.WaitGroup
-	)
-	fail := func(i int, err error) {
-		mu.Lock()
-		if firstErr == nil || i < firstIdx {
-			firstErr, firstIdx = err, i
-		}
-		mu.Unlock()
-		cancel() // stop the other workers claiming new items
-	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					fail(i, err)
-					return
-				}
-				r, err := fn(ctx, i)
-				if err != nil {
-					fail(i, err)
-					return
-				}
-				out[i] = r
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	if err := Each(ctx, workers, n, fn, func(i int, v T) error {
+		out[i] = v
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
