@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"energyprop/internal/device"
 	"energyprop/internal/fault"
@@ -191,8 +192,14 @@ func Stream(ctx context.Context, dev device.Device, w device.Workload, configs [
 		spec.Measure = stats.DefaultMeasureSpec()
 		spec.Measure.CheckNormality = false
 	}
-	if spec.NoiseFrac < 0 {
-		return errors.New("campaign: negative noise")
+	// The meter treats a NaN noise or spike setting as off, spikes every
+	// sample above probability 1, and fails infinite noise only after
+	// measuring, so such specs are refused before any point runs.
+	if !(spec.NoiseFrac >= 0) || math.IsInf(spec.NoiseFrac, 1) {
+		return fmt.Errorf("campaign: noise fraction %v must be finite and non-negative", spec.NoiseFrac)
+	}
+	if !(spec.SpikeProb >= 0 && spec.SpikeProb <= 1) {
+		return fmt.Errorf("campaign: spike probability %v is outside [0, 1]", spec.SpikeProb)
 	}
 	if len(configs) == 0 {
 		return errors.New("campaign: no configurations")

@@ -2,7 +2,9 @@ package campaign
 
 import (
 	"bytes"
+	"context"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"energyprop/internal/device"
@@ -52,6 +54,52 @@ func TestRunValidation(t *testing.T) {
 	}
 	if _, err := Run(openDev(t, "p100"), device.Workload{N: 0, Products: 1}, DefaultSpec(1)); err == nil {
 		t.Error("bad workload: want error")
+	}
+}
+
+// runCounter counts device runs, so a test can tell a spec rejected up
+// front from one that failed after measuring.
+type runCounter struct {
+	device.Device
+	runs atomic.Int64
+}
+
+func (d *runCounter) Run(ctx context.Context, w device.Workload, c device.Config) (*device.Outcome, error) {
+	d.runs.Add(1)
+	return d.Device.Run(ctx, w, c)
+}
+
+// TestRunRejectsBadMeterSettings: a NaN noise or spike probability used
+// to switch the meter's noise or spikes off silently, a spike
+// probability above 1 spiked every sample, and infinite noise failed
+// only after measuring. Each must be refused before any device run.
+func TestRunRejectsBadMeterSettings(t *testing.T) {
+	w := device.Workload{N: 512, Products: 1}
+	cases := []struct {
+		name         string
+		noise, spike float64
+	}{
+		{"NaN noise", math.NaN(), 0},
+		{"+Inf noise", math.Inf(1), 0},
+		{"-Inf noise", math.Inf(-1), 0},
+		{"negative noise", -0.01, 0},
+		{"NaN spikes", 0.01, math.NaN()},
+		{"negative spikes", 0.01, -1},
+		{"spikes above 1", 0.01, 2},
+		{"+Inf spikes", 0.01, math.Inf(1)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dev := &runCounter{Device: openDev(t, "haswell")}
+			spec := DefaultSpec(1)
+			spec.NoiseFrac, spec.SpikeProb = tc.noise, tc.spike
+			if _, err := Run(dev, w, spec); err == nil {
+				t.Fatalf("noise %v, spikes %v: want an error", tc.noise, tc.spike)
+			}
+			if n := dev.runs.Load(); n != 0 {
+				t.Errorf("noise %v, spikes %v: %d device runs before the spec was refused, want 0", tc.noise, tc.spike, n)
+			}
+		})
 	}
 }
 

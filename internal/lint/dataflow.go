@@ -18,14 +18,15 @@ import (
 //     parameter fed a blessed value at some call site is treated as
 //     blessed — optimistic, but a raw-seeded call site is still caught
 //     at that site);
-//   - backward sink flow: starting from the arguments of
-//     rand.NewSource / rand.NewPCG, sink flow propagates backward
+//   - backward sink flow: starting from the arguments of the seedSinks
+//     constructors (rand.NewSource, rand.NewPCG, and the meter's
+//     closed-form-seeded meter.newSource), sink flow propagates backward
 //     through assignments and call boundaries, stopping at blessing
 //     boundaries (device.ConfigSeed and blessed helpers). A seed-named
 //     parameter with sink flow is a "seed conduit": its call sites are
-//     held to the same rules as a direct rand constructor, which is how
+//     held to the same rules as a direct constructor, which is how
 //     meter.NewMeter(power, seed) calls in campaign code get checked
-//     even though the rand constructor lives two packages away.
+//     even though the constructor lives two packages away.
 //
 // The v1 syntactic rule blessed anything routed through a seed-named
 // helper, so a strict-package helper like seedFor(i int) int64 { return
@@ -244,15 +245,14 @@ func (st *seedTaint) markSinkIdents(pkg *Package, expr ast.Expr, changed *bool) 
 	})
 }
 
-// randSeedSink returns the rand constructor name when the call is
-// rand.NewSource or rand.NewPCG (either math/rand generation).
-func randSeedSink(pkg *Package, call *ast.CallExpr) (string, bool) {
-	for _, path := range []string{"math/rand", "math/rand/v2"} {
-		if name, ok := pkgCall(pkg.Info, call, path); ok && seedSources[name] {
-			return name, true
-		}
+// seedSink returns the sink's display name ("rand.NewSource",
+// "meter.newSource") when the call is one of the seedSinks constructors.
+func seedSink(pkg *Package, call *ast.CallExpr) (string, bool) {
+	fn := staticCallee(pkg, call)
+	if fn == nil || fn.Pkg() == nil || !seedSinks[fn.Pkg().Path()][fn.Name()] {
+		return "", false
 	}
-	return "", false
+	return fn.Pkg().Name() + "." + fn.Name(), true
 }
 
 // sinkPass runs one backward sink-flow sweep over a file.
@@ -260,7 +260,7 @@ func (st *seedTaint) sinkPass(pkg *Package, f *File, changed *bool) {
 	ast.Inspect(f.AST, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.CallExpr:
-			if _, ok := randSeedSink(pkg, x); ok {
+			if _, ok := seedSink(pkg, x); ok {
 				for _, arg := range x.Args {
 					st.markSinkIdents(pkg, arg, changed)
 				}

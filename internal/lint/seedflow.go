@@ -8,7 +8,7 @@ import (
 )
 
 // seedFlowScoped is the set of packages where per-point seeding happens.
-// Here a rand.NewSource argument IS the measurement's identity: PR 1's
+// Here a generator-seed argument IS the measurement's identity: the
 // order-independence proof rests on every meter seed being a pure
 // function of (campaign seed, config identity), which the hashed
 // device.ConfigSeed helper computes. A seed built from a loop index or
@@ -38,11 +38,12 @@ var seedFlowStrict = map[string]bool{
 }
 
 // SeedFlow (v2) checks seed hygiene with whole-program taint instead of
-// name matching. Sinks are the rand constructors (rand.NewSource,
-// rand.NewPCG) plus every seed conduit the dataflow engine discovers —
-// a seed-named parameter whose value transitively reaches a rand
-// constructor, e.g. meter.NewMeter's seed. At every sink or conduit
-// argument in the scoped packages:
+// name matching. Sinks are the generator constructors in seedSinks
+// (rand.NewSource, rand.NewPCG, and meter.newSource, the meter's
+// closed-form-seeded math/rand source) plus every seed conduit the
+// dataflow engine discovers — a seed-named parameter whose value
+// transitively reaches a sink, e.g. meter.NewMeter's seed. At every sink
+// or conduit argument in the scoped packages:
 //
 //   - the argument must not derive from an enclosing loop variable
 //     (outside a seed-mixing helper call, whose job is folding identity
@@ -66,11 +67,14 @@ func (SeedFlow) Doc() string {
 	return "rand seeds (and seed-conduit arguments) in measurement-pipeline code must carry taint from device.ConfigSeed, never a loop index; memo.Cache keys must flow through memo.Digest, never fmt.Sprintf"
 }
 
-// seedSources are the math/rand constructors whose arguments carry seed
-// material.
-var seedSources = map[string]bool{
-	"NewSource": true, // math/rand
-	"NewPCG":    true, // math/rand/v2
+// seedSinks are the generator constructors whose arguments carry seed
+// material, by package path and function name: both math/rand
+// generations, and the meter's own source, which seeds math/rand's
+// generator in closed form without calling rand.NewSource.
+var seedSinks = map[string]map[string]bool{
+	"math/rand":                 {"NewSource": true},
+	"math/rand/v2":              {"NewPCG": true},
+	"energyprop/internal/meter": {"newSource": true},
 }
 
 // Check handles the per-package cache-key half of the rule; the seed
@@ -105,11 +109,11 @@ func (SeedFlow) CheckProgram(prog *Program) []Finding {
 
 // seedSiteArgs returns the arguments of a call that carry seed material
 // into a generator, together with the sink's display name: every
-// argument of a rand constructor, or the conduit-parameter arguments of
-// a discovered conduit function.
+// argument of a seedSinks constructor, or the conduit-parameter
+// arguments of a discovered conduit function.
 func seedSiteArgs(pkg *Package, call *ast.CallExpr, st *seedTaint) (string, []ast.Expr) {
-	if name, ok := randSeedSink(pkg, call); ok {
-		return "rand." + name, call.Args
+	if name, ok := seedSink(pkg, call); ok {
+		return name, call.Args
 	}
 	callee := staticCallee(pkg, call)
 	idxs := st.conduits[callee]

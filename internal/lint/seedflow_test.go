@@ -1,6 +1,9 @@
 package lint
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestSeedFlowFlagsLoopDerivedSeeds(t *testing.T) {
 	src := `package campaign
@@ -237,6 +240,35 @@ func good(idle float64, seed int64) *meter.Meter {
 		[]string{"energyprop/internal/meter"}, []want{
 			{line: 14, rule: "seedflow", substr: "seed for meter.NewMeter"},
 		})
+}
+
+func TestSeedFlowChecksMeterSource(t *testing.T) {
+	// The meter seeds math/rand's generator itself, without calling
+	// rand.NewSource, so meter.newSource is a sink of its own: a loop
+	// index reaching it is the same order-dependence bug.
+	src := `package meter
+
+type source struct{}
+
+func newSource(seed int64) *source { return &source{} }
+
+func bad(n int) []*source {
+	var out []*source
+	for i := 0; i < n; i++ {
+		out = append(out, newSource(int64(i)))
+	}
+	return out
+}
+
+func good(seed int64) *source { return newSource(seed) }
+`
+	checkFixture(t, []Rule{SeedFlow{}}, "energyprop/internal/meter", src, []want{
+		{line: 10, rule: "seedflow", substr: `seed for meter.newSource derives from loop variable "i"`},
+	})
+	// The sink is qualified by package: a newSource elsewhere is an
+	// ordinary function.
+	checkFixture(t, []Rule{SeedFlow{}}, "energyprop/internal/fault",
+		strings.Replace(src, "package meter", "package fault", 1), nil)
 }
 
 func TestSeedFlowIgnoresOutOfScopePackages(t *testing.T) {

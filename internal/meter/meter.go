@@ -157,13 +157,15 @@ type Meter struct {
 }
 
 // NewMeter returns a meter with the given idle power, WattsUp-like 1 s
-// sampling, 1% sample noise, and a deterministic seed.
+// sampling, 1% sample noise, and a deterministic seed. Its generator
+// draws exactly what rand.New(rand.NewSource(seed)) would (see
+// source.go), only seeded faster.
 func NewMeter(idlePowerW float64, seed int64) *Meter {
 	return &Meter{
 		IdlePowerW:     idlePowerW,
 		SampleInterval: 1.0,
 		NoiseFrac:      0.01,
-		rng:            rand.New(rand.NewSource(seed)),
+		rng:            rand.New(newSource(seed)),
 	}
 }
 
@@ -211,7 +213,7 @@ func (m *Meter) MeasureRun(r Run) (*Report, error) {
 		return nil, ErrBadRun
 	}
 	interval := m.SampleInterval
-	if interval <= 0 {
+	if !(interval > 0) { // non-positive or NaN: the WattsUp's 1 s default
 		interval = 1.0
 	}
 	n := int(dur / interval)

@@ -208,3 +208,25 @@ func TestDynamicPlusStaticEqualsTotalProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestNaNSampleIntervalUsesDefault: a NaN interval fails every
+// comparison, so `interval <= 0` let it through and int(dur/NaN) sized
+// the sample slice negative. It must fall back to the 1 s default, as a
+// non-positive interval does.
+func TestNaNSampleIntervalUsesDefault(t *testing.T) {
+	run := ConstantRun{Seconds: 30, Watts: 150}
+	want, err := NewMeter(60, 5).MeasureRun(run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMeter(60, 5)
+	m.SampleInterval = math.NaN()
+	got, err := m.MeasureRun(run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Samples != want.Samples || math.Float64bits(got.TotalEnergyJ) != math.Float64bits(want.TotalEnergyJ) {
+		t.Errorf("NaN interval: %d samples, %v J; want the 1 s default's %d samples, %v J",
+			got.Samples, got.TotalEnergyJ, want.Samples, want.TotalEnergyJ)
+	}
+}

@@ -22,7 +22,10 @@ import (
 // (all lower indexes committed already), so this matches the
 // lowest-index selection a serial loop interleaving fn and commit would
 // exhibit. Results completed out of order are buffered until their
-// predecessors land; the buffer holds at most workers-1 entries.
+// predecessors land. Nothing applies backpressure: while one item runs
+// long, the other workers keep claiming and finishing later indexes, so
+// the buffer holds every result completed above the lowest unfinished
+// index — up to n-1 entries, not workers-1.
 func Each[T any](ctx context.Context, workers, n int, fn func(ctx context.Context, i int) (T, error), commit func(i int, v T) error) error {
 	if n <= 0 {
 		return nil
