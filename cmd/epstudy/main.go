@@ -303,7 +303,7 @@ func addRunNotes(t *experiment.Table, st *launch.Stack, spec campaign.Spec, reps
 	for _, f := range failed {
 		t.AddNote("failed: %s attempts=%d err=%v", f.Config.Key(), f.Attempts, f.Err)
 	}
-	coord := st.Coord
+	coord := st.Spec.Fleet
 	if s, n := st.FaultStats(); n > 0 && coord == nil {
 		t.AddNote("faults: runs=%d transients=%d drops=%d outliers=%d delays=%d",
 			s.Runs, s.Transients, s.Drops, s.Outliers, s.Delays)

@@ -137,7 +137,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	cache := memo.New[*device.Outcome](0)
 	measure := func(ctx context.Context, dev device.Device, i int) (sweepPoint, error) {
 		var o *device.Outcome
-		attempts, err := st.Spec.Retry.Do(ctx, device.ConfigSeed(req.Faults.Seed, configs[i]), func(int) error {
+		attempts, err := st.Spec.Retry.Do(ctx, func(int) error {
 			var aerr error
 			o, _, aerr = cache.Do(outcomeKey(dev, workload, configs[i]), func() (*device.Outcome, error) {
 				return dev.Run(ctx, workload, configs[i])
@@ -158,8 +158,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	// []sweepPoint first. Warm -reps drive the cache through a
 	// discarding commit; only the final rep emits.
 	runRep := func(commit func(int, sweepPoint) error) error {
-		if st.Coord != nil {
-			return fleet.Each(ctx, st.Coord, len(configs), measure, commit)
+		if st.Spec.Fleet != nil {
+			return fleet.Each(ctx, st.Spec.Fleet, len(configs), measure, commit)
 		}
 		return parallel.Each(ctx, req.Workers, len(configs), func(ctx context.Context, i int) (sweepPoint, error) {
 			return measure(ctx, dev, i)
@@ -262,13 +262,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	if s, n := st.FaultStats(); n > 0 {
 		where := ""
-		if st.Coord != nil {
+		if st.Spec.Fleet != nil {
 			where = fmt.Sprintf(" (aggregated over %d node injectors)", n)
 		}
 		out.Printf("# faults: runs=%d transients=%d drops=%d outliers=%d delays=%d survivors=%d failed=%d%s\n",
 			s.Runs, s.Transients, s.Drops, s.Outliers, s.Delays, survivors, failed, where)
 	}
-	if coord := st.Coord; coord != nil {
+	if coord := st.Spec.Fleet; coord != nil {
 		s := coord.Stats()
 		out.Printf("# fleet: nodes=%d shards=%d dispatches=%d preemptions=%d cordons=%d remediations=%d digest=%s\n",
 			coord.Options().Nodes, s.Shards, s.Dispatches, s.Preemptions, s.Cordons, s.Remediations,

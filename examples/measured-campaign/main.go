@@ -37,11 +37,6 @@ func main() {
 	// this measures the identical record a serial run would (workers: 1).
 	spec := campaign.DefaultSpec(1)
 	spec.Workers = runtime.GOMAXPROCS(0)
-	spec.Progress = func(done, total int) {
-		if done%25 == 0 || done == total {
-			fmt.Printf("  measured %d/%d configurations\n", done, total)
-		}
-	}
 	fmt.Printf("measuring every configuration of %d products of %dx%d on %s (%d workers)...\n",
 		w.Products, w.N, w.N, dev.Spec().CatalogName, spec.Workers)
 	configs, err := dev.Configs(w)
@@ -50,16 +45,24 @@ func main() {
 	}
 	// The stream fans out: the RecordSink writes the campaign JSON as
 	// each point commits, the ResultSink keeps the reports for the
-	// model-vs-measured comparison below. Delivery is in configuration
-	// order at any worker count, so the bytes are identical to a serial
-	// materialize-then-save run.
+	// model-vs-measured comparison below, and a FuncSink reports
+	// progress. Delivery is in configuration order, one point at a time,
+	// at any worker count, so the bytes are identical to a serial
+	// materialize-then-save run and the counter needs no lock.
 	var buf bytes.Buffer
 	recSink, err := campaign.NewRecordSink(&buf, dev, w, false)
 	if err != nil {
 		log.Fatal(err)
 	}
 	resSink := campaign.NewResultSink(dev, w)
-	if err := campaign.Stream(context.Background(), dev, w, configs, spec, campaign.MultiSink{resSink, recSink}); err != nil {
+	done := 0
+	progress := campaign.FuncSink{AcceptFunc: func(campaign.PointOutcome) error {
+		if done++; done%25 == 0 || done == len(configs) {
+			fmt.Printf("  measured %d/%d configurations\n", done, len(configs))
+		}
+		return nil
+	}}
+	if err := campaign.Stream(context.Background(), dev, w, configs, spec, campaign.MultiSink{resSink, recSink, progress}); err != nil {
 		log.Fatal(err)
 	}
 	res := resSink.Result()

@@ -15,6 +15,7 @@ import (
 
 	"energyprop/internal/device"
 	"energyprop/internal/fault"
+	"energyprop/internal/fleet"
 	"energyprop/internal/meter"
 	"energyprop/internal/parallel"
 	"energyprop/internal/stats"
@@ -52,17 +53,12 @@ type Spec struct {
 	// (singleflight). Share one cache across campaigns only for devices
 	// opened fresh from the device registry — see PointCache.
 	Cache *PointCache
-	// Progress, if non-nil, is called once per measured configuration
-	// with the running completion count. Calls are serialized by the
-	// engine, so the callback needs no locking of its own.
-	Progress func(done, total int)
 	// Retry bounds re-measurement of a failing point: a transient device
 	// error or a corrupt meter sample burns one attempt and the point is
 	// re-measured from a fresh meter (seeded, as always, by
 	// device.ConfigSeed), so a recovered point is byte-identical to one
 	// that succeeded first try. The zero value means one attempt (no
-	// retries). Backoff jitter is deterministic per point — see
-	// fault.RetryPolicy.
+	// retries); retries are immediate.
 	Retry fault.RetryPolicy
 	// ContinueOnError degrades gracefully instead of aborting: a point
 	// that exhausts its retry budget is recorded in Result.Failed with
@@ -70,13 +66,15 @@ type Spec struct {
 	// cancellation still aborts the whole sweep — a gone caller is not a
 	// point failure.
 	ContinueOnError bool
-	// Executor selects the fan-out strategy. Nil means LocalExecutor
-	// (the in-process pool bounded by Workers). internal/fleet provides
-	// a sharded multi-node executor; whichever is chosen, the outcome
-	// bytes are identical — a point is a pure function of (Seed, config),
-	// so the executor shapes wall-clock and fault tolerance, never
-	// results.
-	Executor Executor
+	// Fleet, if non-nil, shards the campaign across the coordinator's
+	// simulated nodes, each point measured on its hosting node's device
+	// instance. Nil means the in-process pool bounded by Workers. The
+	// outcome bytes are identical either way — a point is a pure
+	// function of (Seed, config), so the fan-out shapes wall-clock and
+	// fault tolerance, never results. Node devices must share the
+	// campaign device's measurement identity (registry name, kind,
+	// catalog spec), or the records will differ.
+	Fleet *fleet.Coordinator
 }
 
 // DefaultSpec returns the paper's methodology with 1% meter noise.
@@ -84,6 +82,14 @@ func DefaultSpec(seed int64) Spec {
 	m := stats.DefaultMeasureSpec()
 	m.CheckNormality = false // per-point χ² is run by the methodology experiment
 	return Spec{Measure: m, NoiseFrac: 0.01, Seed: seed}
+}
+
+// PointOutcome is one configuration's terminal outcome: either a
+// measured report or a recorded failure (when the spec degrades
+// gracefully). Exactly one of the two is set.
+type PointOutcome struct {
+	Report  PointReport
+	Failure *PointFailure
 }
 
 // PointReport is one configuration's measured outcome.
@@ -172,15 +178,17 @@ func RunConfigs(ctx context.Context, dev device.Device, w device.Workload, confi
 	return rs.Result(), nil
 }
 
-// Stream is the streaming core every campaign entry point now rests
-// on: it measures the explicit configuration list under the spec and
-// delivers each outcome to sink in configuration order as completions
-// allow, instead of materializing a result slice. The sink sees
-// exactly len(configs) Accept calls (one per configuration, in order)
-// followed by one Flush; on any error — executor, context, or sink —
-// the campaign aborts, Flush is never called, and the error is
-// returned. Delivery order and bytes are executor-independent, so a
-// streamed campaign's record is byte-identical to a materialized one.
+// Stream is the streaming core every campaign entry point rests on: it
+// measures the explicit configuration list under the spec and delivers
+// each outcome to sink in configuration order as completions allow,
+// instead of materializing a result slice. The points fan out on the
+// in-process pool (parallel.Each) or, when spec.Fleet is set, on the
+// fleet (fleet.Each); both commit through a parallel.Ordered, so the
+// sink sees exactly len(configs) Accept calls (one per configuration,
+// in order, never concurrently) followed by one Flush. On any error —
+// point, context, or sink — the campaign aborts, Flush is never called,
+// and the error is returned. A streamed campaign's record is
+// byte-identical to a materialized one on either fan-out.
 func Stream(ctx context.Context, dev device.Device, w device.Workload, configs []device.Config, spec Spec, sink Sink) error {
 	if dev == nil {
 		return errors.New("campaign: nil device")
@@ -205,37 +213,50 @@ func Stream(ctx context.Context, dev device.Device, w device.Workload, configs [
 		return errors.New("campaign: no configurations")
 	}
 	w = w.Normalized()
-	job := &Job{
-		Device:   dev,
-		Workload: w,
-		Configs:  configs,
-		Spec:     spec,
-		progress: parallel.NewProgress(len(configs), spec.Progress),
-		sink:     sink,
+	measure := func(ctx context.Context, dev device.Device, i int) (PointOutcome, error) {
+		return outcome(ctx, dev, w, configs[i], spec)
 	}
-	exec := spec.Executor
-	if exec == nil {
-		exec = LocalExecutor{}
+	commit := func(_ int, o PointOutcome) error { return sink.Accept(o) }
+	var err error
+	if spec.Fleet != nil {
+		err = fleet.Each(ctx, spec.Fleet, len(configs), measure, commit)
+	} else {
+		err = parallel.Each(ctx, spec.Workers, len(configs), func(ctx context.Context, i int) (PointOutcome, error) {
+			return measure(ctx, dev, i)
+		}, commit)
 	}
-	if err := exec.Execute(ctx, job); err != nil {
+	if err != nil {
 		return err
 	}
-	if n := job.Committed(); n != len(configs) {
-		return fmt.Errorf("campaign: executor %T committed %d outcomes for %d configurations", exec, n, len(configs))
-	}
 	return sink.Flush()
+}
+
+// outcome measures one configuration on dev — the per-point unit of
+// work both fan-outs run — under the spec's cache and retry policy, so
+// a point measured on any device instance is byte-identical to the
+// serial reference path. The returned error is non-nil only when the
+// campaign must abort: a context error, or any failure when the spec
+// does not degrade gracefully. A tolerated failure comes back as a
+// PointOutcome recording the failure.
+func outcome(ctx context.Context, dev device.Device, w device.Workload, c device.Config, spec Spec) (PointOutcome, error) {
+	p, err := retriedPoint(ctx, dev, w, c, spec)
+	if err != nil {
+		if !spec.ContinueOnError || fault.IsContextErr(err) {
+			return PointOutcome{}, err
+		}
+		return PointOutcome{Failure: &PointFailure{Config: c, Attempts: p.Attempts, Err: err}}, nil
+	}
+	return PointOutcome{Report: p}, nil
 }
 
 // retriedPoint measures one configuration under the spec's retry
 // policy: each attempt runs the full cachedPoint path (device run, fresh
 // meter, statistical loop), so a retry that succeeds reproduces the
 // fault-free measurement bit-for-bit — the meter seed depends only on
-// (spec.Seed, config), never on the attempt number. Backoff jitter is
-// seeded from the same point identity, keeping retry timing independent
-// of sweep order and worker count.
+// (spec.Seed, config), never on the attempt number.
 func retriedPoint(ctx context.Context, dev device.Device, w device.Workload, c device.Config, spec Spec) (PointReport, error) {
 	var p PointReport
-	attempts, err := spec.Retry.Do(ctx, device.ConfigSeed(spec.Seed, c), func(int) error {
+	attempts, err := spec.Retry.Do(ctx, func(int) error {
 		var aerr error
 		p, aerr = cachedPoint(ctx, dev, w, c, spec)
 		return aerr

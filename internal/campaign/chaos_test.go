@@ -14,8 +14,7 @@ import (
 )
 
 // chaosSpec is the retry-enabled spec every chaos campaign runs under:
-// graceful degradation on, a generous deterministic retry budget, and
-// no backoff (the faults are simulated, waiting teaches nothing).
+// graceful degradation on and a generous deterministic retry budget.
 func chaosSpec(seed int64, workers int, cache *PointCache) Spec {
 	spec := DefaultSpec(seed)
 	spec.Workers = workers

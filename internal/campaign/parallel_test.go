@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 	"testing"
 
 	"energyprop/internal/device"
@@ -291,32 +290,19 @@ func TestRunContextCancellation(t *testing.T) {
 	}
 }
 
-func TestProgressReportsEveryConfig(t *testing.T) {
-	dev := openDev(t, "p100")
-	w := smallWorkload()
-	configs, err := dev.Configs(w)
+// TestNilExecutorDefaultsToLocalPool: a spec with no Fleet measures on
+// the in-process pool bounded by Workers.
+func TestNilExecutorDefaultsToLocalPool(t *testing.T) {
+	dev := openDev(t, "haswell")
+	w := device.Workload{N: 48, Products: 1}
+	spec := DefaultSpec(7)
+	spec.Workers = 4
+	res, err := runAllConfigs(t, dev, w, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ticks atomic.Int64
-	var last atomic.Int64
-	spec := DefaultSpec(17)
-	spec.Workers = 4
-	spec.Progress = func(done, total int) {
-		ticks.Add(1)
-		last.Store(int64(done))
-		if total != len(configs) {
-			t.Errorf("total = %d, want %d", total, len(configs))
-		}
-	}
-	if _, err := Run(dev, w, spec); err != nil {
-		t.Fatal(err)
-	}
-	if int(ticks.Load()) != len(configs) {
-		t.Errorf("%d progress ticks, want %d", ticks.Load(), len(configs))
-	}
-	if int(last.Load()) != len(configs) {
-		t.Errorf("final done = %d, want %d", last.Load(), len(configs))
+	if len(res.Points) == 0 {
+		t.Fatal("local pool produced no points")
 	}
 }
 

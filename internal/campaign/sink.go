@@ -20,10 +20,10 @@ import (
 // aborted campaign never flushes, so a sink can treat Flush as its
 // commit point. An Accept or Flush error aborts the campaign.
 //
-// Because delivery order equals configuration order regardless of
-// executor or worker count, everything downstream of a sink (records,
-// Pareto indexes, counters) is byte-identical across executors, just as
-// materialized results were.
+// Because delivery order equals configuration order on the local pool
+// at any worker count and on the fleet, everything downstream of a sink
+// (records, Pareto indexes, counters) is byte-identical across them,
+// just as materialized results were.
 type Sink interface {
 	// Accept consumes one configuration's terminal outcome.
 	Accept(o PointOutcome) error

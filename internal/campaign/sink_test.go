@@ -9,6 +9,7 @@ import (
 
 	"energyprop/internal/device"
 	"energyprop/internal/fault"
+	"energyprop/internal/fleet"
 	"energyprop/internal/pareto"
 	"energyprop/internal/parindex"
 )
@@ -32,8 +33,8 @@ func streamRecordBytes(t testing.TB, dev device.Device, w device.Workload, spec 
 	return buf.Bytes()
 }
 
-// TestStreamedRecordByteIdentical is the tentpole's acceptance
-// invariant on the local executor: a streamed-sink campaign produces a
+// TestStreamedRecordByteIdentical is the streaming engine's acceptance
+// invariant on the local pool: a streamed-sink campaign produces a
 // store record byte-identical to the materialized RunConfigs →
 // Result.Record → SaveCampaign path, on all three backend kinds, at
 // serial and parallel worker counts. (internal/fleet carries the same
@@ -196,8 +197,10 @@ func (s *deliveryOrderSink) Accept(o PointOutcome) error {
 
 func (s *deliveryOrderSink) Flush() error { s.flushes++; return nil }
 
-// TestSinkDeliveryOrder: Accept sees configurations in list order at
-// any worker count, and Flush runs exactly once after the last Accept.
+// TestSinkDeliveryOrder: Accept sees configurations in list order, one
+// at a time, at any worker count and on a chaotic fleet (shards
+// preempted, retried on other nodes, and finishing out of order), and
+// Flush runs exactly once after the last Accept.
 func TestSinkDeliveryOrder(t *testing.T) {
 	dev := openDev(t, "p100")
 	w := smallWorkload()
@@ -209,19 +212,43 @@ func TestSinkDeliveryOrder(t *testing.T) {
 	for i, c := range configs {
 		want[i] = c.Key()
 	}
-	for _, workers := range []int{1, 7} {
+	coord, err := fleet.New(fleet.Options{
+		Nodes:       3,
+		ShardSize:   2,
+		Parallelism: 4,
+		CordonAfter: 1,
+		CordonTicks: 2,
+		Chaos:       fleet.Chaos{Seed: 7, Preempt: 0.35, Flaky: 0.25, Slow: 0.3},
+	}, func(string) (device.Device, error) { return device.Open("p100") })
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name    string
+		workers int
+		fleet   *fleet.Coordinator
+	}{
+		{"workers=1", 1, nil},
+		{"workers=7", 7, nil},
+		{"fleet", 0, coord},
+	}
+	for _, tc := range cases {
 		spec := DefaultSpec(31)
-		spec.Workers = workers
+		spec.Workers = tc.workers
+		spec.Fleet = tc.fleet
 		s := &deliveryOrderSink{}
 		if err := Stream(context.Background(), dev, w, configs, spec, s); err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(s.keys, want) {
-			t.Errorf("workers=%d: delivery order %v != config order %v", workers, s.keys, want)
+			t.Errorf("%s: delivery order %v != config order %v", tc.name, s.keys, want)
 		}
 		if s.flushes != 1 {
-			t.Errorf("workers=%d: %d flushes", workers, s.flushes)
+			t.Errorf("%s: %d flushes", tc.name, s.flushes)
 		}
+	}
+	if st := coord.Stats(); st.Preemptions == 0 {
+		t.Errorf("fleet case saw no preemption (%+v): its out-of-order delivery is untested", st)
 	}
 }
 

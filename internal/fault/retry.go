@@ -2,27 +2,15 @@ package fault
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
-	"hash/fnv"
-	"time"
 )
 
 // RetryPolicy bounds re-execution of a failing operation: at most
-// MaxAttempts tries, with exponential backoff between them. Backoff
-// jitter is deterministic — derived by hashing (caller seed, attempt) —
-// so a retried campaign sleeps the same schedule every replay and two
-// points never synchronize their retries into a thundering herd.
+// MaxAttempts tries, one straight after another.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of tries (first attempt included);
 	// values < 1 mean 1, i.e. no retries.
 	MaxAttempts int
-	// BaseDelay is the backoff before the first retry; the k-th retry
-	// waits BaseDelay·2^(k-1) scaled by a deterministic jitter fraction
-	// in [0.5, 1). Zero disables sleeping (retries are immediate).
-	BaseDelay time.Duration
-	// MaxDelay caps the un-jittered backoff; zero means uncapped.
-	MaxDelay time.Duration
 }
 
 // attempts resolves the policy's attempt budget.
@@ -33,47 +21,13 @@ func (p RetryPolicy) attempts() int {
 	return p.MaxAttempts
 }
 
-// retrySeed hashes (seed, attempt) into the jitter source for one
-// backoff sleep, the same FNV-1a construction the injector and
-// device.ConfigSeed use.
-func retrySeed(seed int64, attempt int) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(seed))
-	h.Write(buf[:])
-	binary.LittleEndian.PutUint64(buf[:], uint64(attempt))
-	h.Write(buf[:])
-	return h.Sum64()
-}
-
-// Backoff returns the deterministic delay to sleep before retry number
-// attempt (1-based: attempt 1 follows the first failure). The seed is
-// the caller's point identity — campaigns pass device.ConfigSeed(seed,
-// config) so each point jitters independently but reproducibly.
-func (p RetryPolicy) Backoff(seed int64, attempt int) time.Duration {
-	if p.BaseDelay <= 0 || attempt < 1 {
-		return 0
-	}
-	d := p.BaseDelay
-	// Shift with an explicit cap so pathological attempt counts cannot
-	// overflow the duration.
-	for i := 1; i < attempt && d < 1<<40; i++ {
-		d *= 2
-	}
-	if p.MaxDelay > 0 && d > p.MaxDelay {
-		d = p.MaxDelay
-	}
-	frac := 0.5 + 0.5*float64(retrySeed(seed, attempt)%4096)/4096
-	return time.Duration(frac * float64(d))
-}
-
 // Do runs fn until it succeeds, the attempt budget is exhausted, or the
-// context is cancelled, sleeping the deterministic backoff between
-// attempts. It returns the number of attempts consumed and fn's final
-// error (nil on success). Context errors — fn's own, or a cancellation
-// during backoff — are returned immediately and never retried: a gone
-// caller must not keep burning device time.
-func (p RetryPolicy) Do(ctx context.Context, seed int64, fn func(attempt int) error) (int, error) {
+// context is cancelled, which is checked between attempts. It returns
+// the number of attempts consumed and fn's final error (nil on
+// success). Context errors — fn's own, or a cancellation seen between
+// attempts — are returned immediately and never retried: a gone caller
+// must not keep burning device time.
+func (p RetryPolicy) Do(ctx context.Context, fn func(attempt int) error) (int, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -83,11 +37,7 @@ func (p RetryPolicy) Do(ctx context.Context, seed int64, fn func(attempt int) er
 		if err == nil || attempt >= budget || IsContextErr(err) {
 			return attempt, err
 		}
-		if d := p.Backoff(seed, attempt); d > 0 {
-			if serr := sleepCtx(ctx, d); serr != nil {
-				return attempt, serr
-			}
-		} else if cerr := ctx.Err(); cerr != nil {
+		if cerr := ctx.Err(); cerr != nil {
 			return attempt, cerr
 		}
 	}

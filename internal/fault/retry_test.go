@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"testing"
-	"time"
 )
 
 var errBoom = errors.New("boom")
@@ -12,7 +11,7 @@ var errBoom = errors.New("boom")
 // TestDoSucceedsFirstTry: a passing fn consumes exactly one attempt.
 func TestDoSucceedsFirstTry(t *testing.T) {
 	p := RetryPolicy{MaxAttempts: 5}
-	attempts, err := p.Do(context.Background(), 1, func(int) error { return nil })
+	attempts, err := p.Do(context.Background(), func(int) error { return nil })
 	if err != nil || attempts != 1 {
 		t.Errorf("got (%d, %v), want (1, nil)", attempts, err)
 	}
@@ -23,7 +22,7 @@ func TestDoSucceedsFirstTry(t *testing.T) {
 func TestDoRetriesUntilSuccess(t *testing.T) {
 	p := RetryPolicy{MaxAttempts: 5}
 	var seen []int
-	attempts, err := p.Do(context.Background(), 1, func(a int) error {
+	attempts, err := p.Do(context.Background(), func(a int) error {
 		seen = append(seen, a)
 		if a < 3 {
 			return errBoom
@@ -42,7 +41,7 @@ func TestDoRetriesUntilSuccess(t *testing.T) {
 // returns the final error.
 func TestDoExhaustsBudget(t *testing.T) {
 	p := RetryPolicy{MaxAttempts: 4}
-	attempts, err := p.Do(context.Background(), 1, func(int) error { return errBoom })
+	attempts, err := p.Do(context.Background(), func(int) error { return errBoom })
 	if !errors.Is(err, errBoom) || attempts != 4 {
 		t.Errorf("got (%d, %v), want (4, errBoom)", attempts, err)
 	}
@@ -51,7 +50,7 @@ func TestDoExhaustsBudget(t *testing.T) {
 // TestDoDefaultsToOneAttempt: zero-value policies do not retry.
 func TestDoDefaultsToOneAttempt(t *testing.T) {
 	var p RetryPolicy
-	attempts, err := p.Do(context.Background(), 1, func(int) error { return errBoom })
+	attempts, err := p.Do(context.Background(), func(int) error { return errBoom })
 	if !errors.Is(err, errBoom) || attempts != 1 {
 		t.Errorf("got (%d, %v), want (1, errBoom)", attempts, err)
 	}
@@ -63,7 +62,7 @@ func TestDoNeverRetriesContextErrors(t *testing.T) {
 	p := RetryPolicy{MaxAttempts: 10}
 	for _, cerr := range []error{context.Canceled, context.DeadlineExceeded} {
 		calls := 0
-		attempts, err := p.Do(context.Background(), 1, func(int) error {
+		attempts, err := p.Do(context.Background(), func(int) error {
 			calls++
 			return cerr
 		})
@@ -73,13 +72,13 @@ func TestDoNeverRetriesContextErrors(t *testing.T) {
 	}
 }
 
-// TestDoStopsOnCancelledContext: with no backoff configured, Do still
-// checks the context between attempts.
+// TestDoStopsOnCancelledContext: Do checks the context between
+// attempts.
 func TestDoStopsOnCancelledContext(t *testing.T) {
 	p := RetryPolicy{MaxAttempts: 100}
 	ctx, cancel := context.WithCancel(context.Background())
 	calls := 0
-	_, err := p.Do(ctx, 1, func(int) error {
+	_, err := p.Do(ctx, func(int) error {
 		calls++
 		cancel()
 		return errBoom
@@ -89,75 +88,6 @@ func TestDoStopsOnCancelledContext(t *testing.T) {
 	}
 	if calls != 1 {
 		t.Errorf("fn ran %d times after cancellation, want 1", calls)
-	}
-}
-
-// TestDoCancelDuringBackoff: cancellation interrupts the backoff sleep.
-func TestDoCancelDuringBackoff(t *testing.T) {
-	p := RetryPolicy{MaxAttempts: 3, BaseDelay: 10 * time.Second}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	var attempts int
-	var err error
-	go func() {
-		defer close(done)
-		attempts, err = p.Do(ctx, 1, func(int) error { return errBoom })
-	}()
-	cancel()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Do did not return after cancellation during backoff")
-	}
-	if !errors.Is(err, context.Canceled) || attempts != 1 {
-		t.Errorf("got (%d, %v), want (1, context.Canceled)", attempts, err)
-	}
-}
-
-// TestBackoffDeterministic: the same (seed, attempt) always yields the
-// same delay, and different seeds de-synchronize.
-func TestBackoffDeterministic(t *testing.T) {
-	p := RetryPolicy{MaxAttempts: 5, BaseDelay: 100 * time.Millisecond}
-	for attempt := 1; attempt <= 4; attempt++ {
-		if a, b := p.Backoff(7, attempt), p.Backoff(7, attempt); a != b {
-			t.Errorf("attempt %d: backoff not deterministic (%v vs %v)", attempt, a, b)
-		}
-	}
-	distinct := false
-	for attempt := 1; attempt <= 8; attempt++ {
-		if p.Backoff(1, attempt) != p.Backoff(2, attempt) {
-			distinct = true
-		}
-	}
-	if !distinct {
-		t.Error("eight attempts with different seeds produced identical jitter — no de-synchronization")
-	}
-}
-
-// TestBackoffRangeAndCap: delays grow exponentially within the jittered
-// [0.5, 1) envelope and respect MaxDelay.
-func TestBackoffRangeAndCap(t *testing.T) {
-	p := RetryPolicy{BaseDelay: 100 * time.Millisecond, MaxDelay: 300 * time.Millisecond}
-	for attempt := 1; attempt <= 30; attempt++ {
-		raw := 100 * time.Millisecond
-		for i := 1; i < attempt && raw < 1<<40; i++ {
-			raw *= 2
-		}
-		if raw > p.MaxDelay {
-			raw = p.MaxDelay
-		}
-		d := p.Backoff(9, attempt)
-		if d < raw/2 || d >= raw {
-			t.Errorf("attempt %d: backoff %v outside [%v, %v)", attempt, d, raw/2, raw)
-		}
-	}
-}
-
-// TestBackoffDisabled: zero base delay means immediate retries.
-func TestBackoffDisabled(t *testing.T) {
-	var p RetryPolicy
-	if d := p.Backoff(1, 3); d != 0 {
-		t.Errorf("zero-value policy backoff = %v, want 0", d)
 	}
 }
 

@@ -1,4 +1,4 @@
-package fleet
+package fleet_test
 
 import (
 	"bytes"
@@ -10,6 +10,7 @@ import (
 	"energyprop/internal/campaign"
 	"energyprop/internal/device"
 	"energyprop/internal/fault"
+	"energyprop/internal/fleet"
 )
 
 // Regenerate the committed event digests after an intentional scheduler
@@ -69,7 +70,7 @@ func TestFleetRegressionSeeds(t *testing.T) {
 	for i := range cases {
 		tc := &cases[i]
 		t.Run(tc.Name, func(t *testing.T) {
-			chaos, err := ParseChaos(tc.Chaos)
+			chaos, err := fleet.ParseChaos(tc.Chaos)
 			if err != nil {
 				t.Fatalf("corpus case %q has a bad chaos schedule: %v", tc.Name, err)
 			}
@@ -85,7 +86,7 @@ func TestFleetRegressionSeeds(t *testing.T) {
 			serial.Workers = 1
 			want := runRecordStruct(t, openDev(t, tc.Device), w, serial)
 
-			coord, err := forDevice(tc.Device, plan, Options{
+			coord, err := fleet.ForDevice(tc.Device, plan, fleet.Options{
 				Nodes:       tc.Nodes,
 				ShardSize:   tc.ShardSize,
 				Parallelism: tc.Parallelism,
@@ -97,7 +98,7 @@ func TestFleetRegressionSeeds(t *testing.T) {
 				t.Fatal(err)
 			}
 			spec := campaign.DefaultSpec(tc.Seed)
-			spec.Executor = Executor{Coord: coord}
+			spec.Fleet = coord
 			if tc.Retries > 0 {
 				spec.Retry = fault.RetryPolicy{MaxAttempts: tc.Retries}
 				spec.ContinueOnError = true
@@ -125,7 +126,7 @@ func TestFleetRegressionSeeds(t *testing.T) {
 				t.Errorf("schedule no longer remediates: %+v", s)
 			}
 
-			digest := DigestEvents(coord.Events())
+			digest := fleet.DigestEvents(coord.Events())
 			if *updateCorpus {
 				tc.EventsDigest = digest
 				return

@@ -1,4 +1,4 @@
-package fleet
+package fleet_test
 
 import (
 	"bytes"
@@ -8,6 +8,7 @@ import (
 	"energyprop/internal/campaign"
 	"energyprop/internal/device"
 	"energyprop/internal/fault"
+	"energyprop/internal/fleet"
 	"energyprop/internal/policy"
 	"energyprop/internal/store"
 )
@@ -77,8 +78,8 @@ func zeroAttempts(rec *store.CampaignRecord) {
 
 // nodeChaos is the node-failure schedule the determinism suite runs
 // under: preemptions, flapping health, and stragglers all active.
-func nodeChaos(seed int64) Chaos {
-	return Chaos{Seed: seed, Preempt: 0.35, Flaky: 0.25, Slow: 0.3}
+func nodeChaos(seed int64) fleet.Chaos {
+	return fleet.Chaos{Seed: seed, Preempt: 0.35, Flaky: 0.25, Slow: 0.3}
 }
 
 // TestFleetByteIdenticalToSerial is the tentpole invariant: a campaign
@@ -96,10 +97,10 @@ func TestFleetByteIdenticalToSerial(t *testing.T) {
 			serial.Workers = 1
 			want := runRecord(t, openDev(t, tc.name), tc.w, serial)
 
-			chaosSeen := Stats{}
+			chaosSeen := fleet.Stats{}
 			for _, shardSize := range []int{1, 3} {
 				for _, parallelism := range []int{1, 4} {
-					coord, err := forDevice(tc.name, fault.Plan{}, Options{
+					coord, err := fleet.ForDevice(tc.name, fault.Plan{}, fleet.Options{
 						Nodes:       3,
 						ShardSize:   shardSize,
 						Parallelism: parallelism,
@@ -111,7 +112,7 @@ func TestFleetByteIdenticalToSerial(t *testing.T) {
 						t.Fatal(err)
 					}
 					spec := campaign.DefaultSpec(31)
-					spec.Executor = Executor{Coord: coord}
+					spec.Fleet = coord
 					got := runRecord(t, openDev(t, tc.name), tc.w, spec)
 					if !bytes.Equal(got, want) {
 						t.Errorf("shard=%d parallelism=%d: fleet record differs from serial fault-free record",
@@ -145,7 +146,7 @@ func TestFleetWithDeviceFaultsSurvivorsByteIdentical(t *testing.T) {
 			zeroAttempts(want)
 			wantBytes := marshalRecord(t, want)
 
-			coord, err := forDevice(tc.name, plan, Options{
+			coord, err := fleet.ForDevice(tc.name, plan, fleet.Options{
 				Nodes:       3,
 				ShardSize:   2,
 				CordonAfter: 1,
@@ -156,7 +157,7 @@ func TestFleetWithDeviceFaultsSurvivorsByteIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			spec := campaign.DefaultSpec(31)
-			spec.Executor = Executor{Coord: coord}
+			spec.Fleet = coord
 			spec.Retry = fault.RetryPolicy{MaxAttempts: 10}
 			spec.ContinueOnError = true
 			got := runRecordStruct(t, openDev(t, tc.name), tc.w, spec)
@@ -210,7 +211,7 @@ func TestPolicyFleetByteIdenticalToSerial(t *testing.T) {
 			want := runRecord(t, openPolicy(t, tc.name), tc.w, serial)
 
 			name := tc.name
-			coord, err := New(Options{
+			coord, err := fleet.New(fleet.Options{
 				Nodes:       3,
 				ShardSize:   2,
 				Parallelism: 4,
@@ -228,7 +229,7 @@ func TestPolicyFleetByteIdenticalToSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 			spec := campaign.DefaultSpec(31)
-			spec.Executor = Executor{Coord: coord}
+			spec.Fleet = coord
 			got := runRecord(t, openPolicy(t, tc.name), tc.w, spec)
 			if !bytes.Equal(got, want) {
 				t.Errorf("fleet policy record differs from the serial one\nwant: %s\ngot:  %s", want, got)
@@ -245,7 +246,7 @@ func TestFleetParallelismInvariance(t *testing.T) {
 	var wantRec []byte
 	var wantDigest string
 	for _, parallelism := range []int{1, 2, 8} {
-		coord, err := forDevice(tc.name, fault.Plan{}, Options{
+		coord, err := fleet.ForDevice(tc.name, fault.Plan{}, fleet.Options{
 			Nodes:       3,
 			ShardSize:   2,
 			Parallelism: parallelism,
@@ -256,9 +257,9 @@ func TestFleetParallelismInvariance(t *testing.T) {
 			t.Fatal(err)
 		}
 		spec := campaign.DefaultSpec(31)
-		spec.Executor = Executor{Coord: coord}
+		spec.Fleet = coord
 		rec := runRecord(t, openDev(t, tc.name), tc.w, spec)
-		digest := DigestEvents(coord.Events())
+		digest := fleet.DigestEvents(coord.Events())
 		if wantRec == nil {
 			wantRec, wantDigest = rec, digest
 			continue

@@ -1,4 +1,4 @@
-package fleet
+package fleet_test
 
 import (
 	"bytes"
@@ -8,6 +8,7 @@ import (
 	"energyprop/internal/campaign"
 	"energyprop/internal/device"
 	"energyprop/internal/fault"
+	"energyprop/internal/fleet"
 )
 
 // streamFleetRecord runs a streamed campaign through the fleet
@@ -32,7 +33,7 @@ func streamFleetRecord(t testing.TB, dev device.Device, w device.Workload, spec 
 // TestFleetStreamedRecordByteIdentical closes the acceptance matrix:
 // a streamed-sink campaign sharded across a chaotic fleet produces a
 // record byte-identical to the serial, local, materialized path — on
-// all three backend kinds. Sink delivery rides job.Commit, so neither
+// all three backend kinds. Sink delivery rides parallel.Ordered, so neither
 // preemption re-queues nor cross-node completion order can reorder or
 // duplicate what the sink sees.
 func TestFleetStreamedRecordByteIdentical(t *testing.T) {
@@ -43,7 +44,7 @@ func TestFleetStreamedRecordByteIdentical(t *testing.T) {
 			want := runRecord(t, openDev(t, tc.name), tc.w, serial)
 
 			for _, parallelism := range []int{1, 4} {
-				coord, err := forDevice(tc.name, fault.Plan{}, Options{
+				coord, err := fleet.ForDevice(tc.name, fault.Plan{}, fleet.Options{
 					Nodes:       3,
 					ShardSize:   2,
 					Parallelism: parallelism,
@@ -55,7 +56,7 @@ func TestFleetStreamedRecordByteIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				spec := campaign.DefaultSpec(31)
-				spec.Executor = Executor{Coord: coord}
+				spec.Fleet = coord
 				got := streamFleetRecord(t, openDev(t, tc.name), tc.w, spec)
 				if !bytes.Equal(got, want) {
 					t.Errorf("parallelism=%d: fleet-streamed record differs from serial materialized record\n got: %s\nwant: %s",
@@ -69,7 +70,7 @@ func TestFleetStreamedRecordByteIdentical(t *testing.T) {
 // TestFleetEachCommitOrder drives fleet.Each directly under chaos and
 // checks the commit contract: items 0..n-1 in strict order, once each.
 func TestFleetEachCommitOrder(t *testing.T) {
-	coord, err := forDevice("p100", fault.Plan{}, Options{
+	coord, err := fleet.ForDevice("p100", fault.Plan{}, fleet.Options{
 		Nodes:       4,
 		ShardSize:   3,
 		Parallelism: 4,
@@ -82,7 +83,7 @@ func TestFleetEachCommitOrder(t *testing.T) {
 	}
 	const n = 40
 	var got []int
-	err = Each(context.Background(), coord, n,
+	err = fleet.Each(context.Background(), coord, n,
 		func(ctx context.Context, dev device.Device, item int) (int, error) {
 			return item * 2, nil
 		},
@@ -109,12 +110,12 @@ func TestFleetEachCommitOrder(t *testing.T) {
 // TestFleetEachCommitErrorAborts: a commit error aborts the run and no
 // later item is committed.
 func TestFleetEachCommitErrorAborts(t *testing.T) {
-	coord, err := forDevice("p100", fault.Plan{}, Options{Nodes: 3, ShardSize: 2, Parallelism: 3})
+	coord, err := fleet.ForDevice("p100", fault.Plan{}, fleet.Options{Nodes: 3, ShardSize: 2, Parallelism: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var calls []int
-	err = Each(context.Background(), coord, 30,
+	err = fleet.Each(context.Background(), coord, 30,
 		func(ctx context.Context, dev device.Device, item int) (int, error) { return item, nil },
 		func(item, v int) error {
 			calls = append(calls, item)

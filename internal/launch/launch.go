@@ -118,11 +118,9 @@ type Stack struct {
 	// Configs are Device's configurations for Workload, enumerated once.
 	Configs []device.Config
 	// Spec carries the request's seed, workers, and retry budget, and
-	// the fleet executor when one was requested. Callers attach their
-	// own cache and error policy.
+	// the fleet coordinator (Spec.Fleet) when the fleet executor was
+	// requested. Callers attach their own cache and error policy.
 	Spec campaign.Spec
-	// Coord is the fleet coordinator; nil under the local executor.
-	Coord *fleet.Coordinator
 
 	// injectors are the fault injectors opened so far: the reference
 	// device's, or one per fleet node instance (remediation reopens a
@@ -166,7 +164,7 @@ func Open(r Request) (*Stack, error) {
 	if nodes == 0 {
 		nodes = DefaultNodes
 	}
-	s.Coord, err = fleet.New(fleet.Options{
+	s.Spec.Fleet, err = fleet.New(fleet.Options{
 		Nodes:       nodes,
 		ShardSize:   r.ShardSize,
 		Parallelism: r.Workers,
@@ -177,7 +175,6 @@ func Open(r Request) (*Stack, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.Spec.Executor = fleet.Executor{Coord: s.Coord}
 	return s, nil
 }
 

@@ -130,7 +130,7 @@ func TestFaultInjectorWrapsPolicy(t *testing.T) {
 			wantN := 1
 			if executor == "fleet" {
 				wantN = DefaultNodes
-				if got := st.Coord.Options().Nodes; got != DefaultNodes {
+				if got := st.Spec.Fleet.Options().Nodes; got != DefaultNodes {
 					t.Errorf("fleet size %d, want the default %d", got, DefaultNodes)
 				}
 			}

@@ -21,11 +21,11 @@ import (
 // is the error returned — an fn error can only occur at a higher index
 // (all lower indexes committed already), so this matches the
 // lowest-index selection a serial loop interleaving fn and commit would
-// exhibit. Results completed out of order are buffered until their
-// predecessors land. Nothing applies backpressure: while one item runs
-// long, the other workers keep claiming and finishing later indexes, so
-// the buffer holds every result completed above the lowest unfinished
-// index — up to n-1 entries, not workers-1.
+// exhibit. Results completed out of order wait in an Ordered until
+// their predecessors land. Nothing applies backpressure: while one item
+// runs long, the other workers keep claiming and finishing later
+// indexes, so the buffer holds every result completed above the lowest
+// unfinished index — up to n-1 entries, not workers-1.
 func Each[T any](ctx context.Context, workers, n int, fn func(ctx context.Context, i int) (T, error), commit func(i int, v T) error) error {
 	if n <= 0 {
 		return nil
@@ -55,15 +55,11 @@ func Each[T any](ctx context.Context, workers, n int, fn func(ctx context.Contex
 	defer cancel()
 
 	var (
-		next       atomic.Int64
-		mu         sync.Mutex // guards firstErr/firstIdx
-		firstErr   error
-		firstIdx   int
-		wg         sync.WaitGroup
-		cmu        sync.Mutex // guards pending/nextIndex and serializes commit
-		pending    = make(map[int]T, workers)
-		nextIndex  int  // next index commit expects
-		commitDead bool // a commit errored; never call it again
+		next     atomic.Int64
+		mu       sync.Mutex // guards firstErr/firstIdx
+		firstErr error
+		firstIdx int
+		wg       sync.WaitGroup
 	)
 	fail := func(i int, err error) {
 		mu.Lock()
@@ -80,32 +76,7 @@ func Each[T any](ctx context.Context, workers, n int, fn func(ctx context.Contex
 		defer mu.Unlock()
 		return firstErr != nil && firstIdx < i
 	}
-	// deliver hands one completed result to the committer: it buffers v,
-	// then drains the contiguous prefix. Whichever worker completes the
-	// blocking index does the draining, so no dedicated committer
-	// goroutine (or channel hop) sits on the hot path.
-	deliver := func(i int, v T) {
-		cmu.Lock()
-		defer cmu.Unlock()
-		if commitDead {
-			return
-		}
-		pending[i] = v
-		for {
-			w, ok := pending[nextIndex]
-			if !ok {
-				return
-			}
-			delete(pending, nextIndex)
-			idx := nextIndex
-			nextIndex++
-			if err := commit(idx, w); err != nil {
-				commitDead = true
-				fail(idx, err)
-				return
-			}
-		}
-	}
+	ord := NewOrdered(commit)
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
@@ -132,7 +103,9 @@ func Each[T any](ctx context.Context, workers, n int, fn func(ctx context.Contex
 					fail(i, err)
 					return
 				}
-				deliver(i, v)
+				if idx, err := ord.Deliver(i, v); err != nil {
+					fail(idx, err)
+				}
 			}
 		}()
 	}

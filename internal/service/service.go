@@ -221,9 +221,6 @@ func New() *Server {
 // campaignSpec completes an opened request's campaign spec: the shared
 // cache is attached unless the client opted out with "nocache", and
 // failed points degrade the reply instead of aborting the campaign.
-// Service retries are immediate (no backoff sleep): the request deadline
-// bounds total time, and parking a handler goroutine in sleeps would
-// only burn it.
 func (s *Server) campaignSpec(st *launch.Stack, nocache bool) campaign.Spec {
 	spec := st.Spec
 	if !nocache {
@@ -646,8 +643,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.setCacheHeaders(w)
-	if st.Coord != nil {
-		setFleetHeaders(w, st.Coord)
+	if st.Spec.Fleet != nil {
+		setFleetHeaders(w, st.Spec.Fleet)
 	}
 	if n := counts.Failed(); n > 0 {
 		w.Header().Set("X-Points-Failed", strconv.Itoa(n))

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 
 	"energyprop/internal/device"
 )
@@ -28,8 +29,8 @@ import (
 // after a failed write the writer refuses further output, so a
 // half-written document cannot be mistaken for a record.
 type CampaignWriter struct {
-	w       io.Writer
-	compact bool
+	w   io.Writer
+	lay *layout
 
 	device   string
 	kind     string
@@ -64,61 +65,75 @@ func NewCampaignWriter(w io.Writer, deviceName, kind string, workload device.Wor
 		device:   deviceName,
 		kind:     kind,
 		workload: workload,
+		lay:      &layouts[0],
 		seen:     map[string]bool{},
 	}, nil
+}
+
+// layout is the whitespace of one output format. The indented and
+// compact documents differ only in these strings, so each piece of the
+// document is written once, through the writer's layout.
+type layout struct {
+	field  string // before each top-level field name
+	colon  string // between a field name and its value
+	elem   string // before each array element
+	close  string // before a non-empty array's closing bracket
+	end    string // before the document's closing brace
+	indent string // one json.Indent level and a field value's prefix; "" is compact
+	elemIn string // json.Indent prefix of an array element
+}
+
+// layouts holds the indented format of SaveCampaign and the compact
+// format of json.Encoder, in that order.
+var layouts = [2]layout{
+	{field: "\n  ", colon: ": ", elem: "\n    ", close: "\n  ", end: "\n", indent: "  ", elemIn: "    "},
+	{colon: ":"},
 }
 
 // Compact switches the writer to compact JSON (the wire format
 // internal/service's /sweep endpoint uses); the default is the indented
 // format of SaveCampaign. Must be called before the first write.
 func (cw *CampaignWriter) Compact() *CampaignWriter {
-	cw.compact = true
+	cw.lay = &layouts[1]
 	return cw
 }
 
-// writeHeader emits everything up to and including `"results": `.
+// writeHeader emits everything up to and including the "results" key.
 func (cw *CampaignWriter) writeHeader() error {
 	if cw.started {
 		return nil
 	}
 	cw.started = true
 	var buf bytes.Buffer
-	if cw.compact {
-		buf.WriteString(`{"version":`)
-		fmt.Fprintf(&buf, "%d", FormatVersion)
-		buf.WriteString(`,"device":`)
-		if err := cw.appendJSON(&buf, cw.device, ""); err != nil {
+	buf.WriteByte('{')
+	cw.key(&buf, "version")
+	buf.WriteString(strconv.Itoa(FormatVersion))
+	for _, f := range []struct {
+		name string
+		v    any
+	}{{"device", cw.device}, {"kind", cw.kind}, {"workload", cw.workload}} {
+		buf.WriteByte(',')
+		cw.key(&buf, f.name)
+		if err := cw.appendJSON(&buf, f.v, cw.lay.indent); err != nil {
 			return err
 		}
-		buf.WriteString(`,"kind":`)
-		if err := cw.appendJSON(&buf, cw.kind, ""); err != nil {
-			return err
-		}
-		buf.WriteString(`,"workload":`)
-		if err := cw.appendJSON(&buf, cw.workload, ""); err != nil {
-			return err
-		}
-		buf.WriteString(`,"results":`)
-	} else {
-		fmt.Fprintf(&buf, "{\n  \"version\": %d,\n  \"device\": ", FormatVersion)
-		if err := cw.appendJSON(&buf, cw.device, "  "); err != nil {
-			return err
-		}
-		buf.WriteString(",\n  \"kind\": ")
-		if err := cw.appendJSON(&buf, cw.kind, "  "); err != nil {
-			return err
-		}
-		buf.WriteString(",\n  \"workload\": ")
-		if err := cw.appendJSON(&buf, cw.workload, "  "); err != nil {
-			return err
-		}
-		buf.WriteString(",\n  \"results\": ")
 	}
+	buf.WriteByte(',')
+	cw.key(&buf, "results")
 	return cw.flush(buf.Bytes())
 }
 
+// key appends a top-level field name and its separator.
+func (cw *CampaignWriter) key(buf *bytes.Buffer, name string) {
+	buf.WriteString(cw.lay.field)
+	buf.WriteByte('"')
+	buf.WriteString(name)
+	buf.WriteByte('"')
+	buf.WriteString(cw.lay.colon)
+}
+
 // appendJSON marshals v and appends it to buf, re-indented for nesting
-// prefix (indented mode) or compact (prefix == "" in compact mode).
+// prefix in the indented layout and as marshalled in the compact one.
 // Marshal-then-Indent reproduces json.Encoder's formatting exactly:
 // the encoder HTML-escapes by default, as Marshal does.
 func (cw *CampaignWriter) appendJSON(buf *bytes.Buffer, v any, prefix string) error {
@@ -126,11 +141,11 @@ func (cw *CampaignWriter) appendJSON(buf *bytes.Buffer, v any, prefix string) er
 	if err != nil {
 		return fmt.Errorf("store: encoding: %w", err)
 	}
-	if cw.compact {
+	if cw.lay.indent == "" {
 		buf.Write(data)
 		return nil
 	}
-	return json.Indent(buf, data, prefix, "  ")
+	return json.Indent(buf, data, prefix, cw.lay.indent)
 }
 
 // flush writes buffered bytes through to the destination, latching any
@@ -177,26 +192,15 @@ func (cw *CampaignWriter) WritePoint(p MeasuredPoint) error {
 		return err
 	}
 	var buf bytes.Buffer
-	if cw.compact {
-		if cw.results == 0 {
-			buf.WriteByte('[')
-		} else {
-			buf.WriteByte(',')
-		}
-		if err := cw.appendJSON(&buf, p, ""); err != nil {
-			cw.err = err
-			return err
-		}
+	if cw.results == 0 {
+		buf.WriteByte('[')
 	} else {
-		if cw.results == 0 {
-			buf.WriteString("[\n    ")
-		} else {
-			buf.WriteString(",\n    ")
-		}
-		if err := cw.appendJSON(&buf, p, "    "); err != nil {
-			cw.err = err
-			return err
-		}
+		buf.WriteByte(',')
+	}
+	buf.WriteString(cw.lay.elem)
+	if err := cw.appendJSON(&buf, p, cw.lay.elemIn); err != nil {
+		cw.err = err
+		return err
 	}
 	cw.seen[p.Config] = true
 	cw.results++
@@ -256,47 +260,31 @@ func (cw *CampaignWriter) Close() error {
 		return err
 	}
 	var buf bytes.Buffer
-	if cw.compact {
-		if cw.results == 0 {
-			buf.WriteString("null")
-		} else {
-			buf.WriteByte(']')
-		}
-		if len(cw.failed) > 0 {
-			buf.WriteString(`,"failed":[`)
-			for i, f := range cw.failed {
-				if i > 0 {
-					buf.WriteByte(',')
-				}
-				if err := cw.appendJSON(&buf, f, ""); err != nil {
-					cw.err = err
-					return err
-				}
-			}
-			buf.WriteByte(']')
-		}
-		buf.WriteString("}\n")
+	if cw.results == 0 {
+		buf.WriteString("null")
 	} else {
-		if cw.results == 0 {
-			buf.WriteString("null")
-		} else {
-			buf.WriteString("\n  ]")
-		}
-		if len(cw.failed) > 0 {
-			buf.WriteString(",\n  \"failed\": [\n    ")
-			for i, f := range cw.failed {
-				if i > 0 {
-					buf.WriteString(",\n    ")
-				}
-				if err := cw.appendJSON(&buf, f, "    "); err != nil {
-					cw.err = err
-					return err
-				}
-			}
-			buf.WriteString("\n  ]")
-		}
-		buf.WriteString("\n}\n")
+		buf.WriteString(cw.lay.close)
+		buf.WriteByte(']')
 	}
+	if len(cw.failed) > 0 {
+		buf.WriteByte(',')
+		cw.key(&buf, "failed")
+		buf.WriteByte('[')
+		for i, f := range cw.failed {
+			if i > 0 {
+				buf.WriteByte(',')
+			}
+			buf.WriteString(cw.lay.elem)
+			if err := cw.appendJSON(&buf, f, cw.lay.elemIn); err != nil {
+				cw.err = err
+				return err
+			}
+		}
+		buf.WriteString(cw.lay.close)
+		buf.WriteByte(']')
+	}
+	buf.WriteString(cw.lay.end)
+	buf.WriteString("}\n")
 	return cw.flush(buf.Bytes())
 }
 
