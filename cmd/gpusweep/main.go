@@ -172,19 +172,22 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	// The optional JSON record streams too. An aborted sweep removes the
-	// partial file: a truncated record must not pose as a campaign.
+	// The optional JSON record is collected during the sweep and saved
+	// once it completes. The file is created up front so a bad path fails
+	// before any work; an aborted sweep removes it: a truncated or empty
+	// record must not pose as a campaign.
 	var jsonFile *os.File
-	var cw *store.CampaignWriter
 	if *jsonOut != "" {
-		jsonFile, err = os.Create(*jsonOut)
-		if err == nil {
-			cw, err = store.NewCampaignWriter(jsonFile, dev.Spec().CatalogName, dev.Kind(), workload)
-		}
-		if err != nil {
+		if jsonFile, err = os.Create(*jsonOut); err != nil {
 			cli.Errorf(stderr, "gpusweep: writing %s: %v\n", *jsonOut, err)
 			return 1
 		}
+	}
+	rec := store.CampaignRecord{
+		Version:  store.FormatVersion,
+		Device:   dev.Spec().CatalogName,
+		Kind:     dev.Kind(),
+		Workload: workload,
 	}
 	// Attempt counts are provenance, not measurement, and only enter the
 	// record when the fault/retry machinery is active so fault-free
@@ -210,14 +213,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 		if p.err != nil {
 			failedRows = append(failedRows, failedRow{key: configs[i].Key(), attempts: p.attempts, err: p.err})
-			if cw != nil {
-				return cw.WriteFailed(store.FailedPoint{
-					Config:   configs[i].Key(),
-					Label:    configs[i].String(),
-					Attempts: recAttempts,
-					Error:    p.err.Error(),
-				})
-			}
+			rec.Failed = append(rec.Failed, store.FailedPoint{
+				Config:   configs[i].Key(),
+				Label:    configs[i].String(),
+				Attempts: recAttempts,
+				Error:    p.err.Error(),
+			})
 			return nil
 		}
 		survivors++
@@ -225,16 +226,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		out.Printf("%s,%.4f,%.2f,%.1f\n",
 			configs[i].Key(), o.TrueSeconds, o.TrueEnergyJ/o.TrueSeconds, o.TrueEnergyJ)
 		front = append(front, pareto.Point{Label: configs[i].String(), Time: o.TrueSeconds, Energy: o.TrueEnergyJ})
-		if cw != nil {
-			return cw.WritePoint(store.MeasuredPoint{
-				Config:     configs[i].Key(),
-				Label:      configs[i].String(),
-				Seconds:    o.TrueSeconds,
-				DynPowerW:  o.TrueEnergyJ / o.TrueSeconds,
-				DynEnergyJ: o.TrueEnergyJ,
-				Attempts:   recAttempts,
-			})
-		}
+		rec.Results = append(rec.Results, store.MeasuredPoint{
+			Config:     configs[i].Key(),
+			Label:      configs[i].String(),
+			Seconds:    o.TrueSeconds,
+			DynPowerW:  o.TrueEnergyJ / o.TrueSeconds,
+			DynEnergyJ: o.TrueEnergyJ,
+			Attempts:   recAttempts,
+		})
 		return nil
 	}
 	if err := runRep(emit); err != nil {
@@ -245,8 +244,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		cli.Errorf(stderr, "gpusweep: %v\n", err)
 		return 1
 	}
-	if cw != nil {
-		err := cw.Close()
+	if jsonFile != nil {
+		err := store.SaveCampaign(jsonFile, &rec)
 		if cerr := jsonFile.Close(); err == nil {
 			err = cerr
 		}

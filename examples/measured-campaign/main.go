@@ -3,9 +3,9 @@
 // is obtained the way the paper obtains it — a time-varying power trace
 // sampled by a noisy WattsUp-style meter, repeated until the sample mean
 // lies in the 95% confidence interval at 2.5% precision. The campaign
-// streams through the sink pipeline: one fan-out serializes the JSON
-// record as points commit (no materialized slice behind the file), the
-// other materializes a Result for the error analysis. The record is then
+// streams through the sink pipeline: one fan-out collects the JSON
+// record and writes it once the campaign completes, the other
+// materializes a Result for the error analysis. The record is then
 // reloaded and the Pareto analysis runs on the measured (not model-true)
 // values.
 package main
@@ -43,12 +43,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// The stream fans out: the RecordSink writes the campaign JSON as
-	// each point commits, the ResultSink keeps the reports for the
-	// model-vs-measured comparison below, and a FuncSink reports
-	// progress. Delivery is in configuration order, one point at a time,
-	// at any worker count, so the bytes are identical to a serial
-	// materialize-then-save run and the counter needs no lock.
+	// The stream fans out: the RecordSink collects the campaign record
+	// and writes its JSON when the campaign completes, the ResultSink
+	// keeps the reports for the model-vs-measured comparison below, and
+	// a FuncSink reports progress. Delivery is in configuration order,
+	// one point at a time, at any worker count, so the bytes are
+	// identical to a serial materialize-then-save run and the counter
+	// needs no lock.
 	var buf bytes.Buffer
 	recSink, err := campaign.NewRecordSink(&buf, dev, w, false)
 	if err != nil {
@@ -68,7 +69,7 @@ func main() {
 	res := resSink.Result()
 	fmt.Printf("campaign: %d configurations, %d total measured runs\n",
 		len(res.Points), res.TotalRuns)
-	fmt.Printf("persisted %d bytes of JSON (streamed as points committed)\n", buf.Len())
+	fmt.Printf("persisted %d bytes of JSON (written once the campaign completed)\n", buf.Len())
 	loaded, err := store.LoadCampaign(&buf)
 	if err != nil {
 		log.Fatal(err)

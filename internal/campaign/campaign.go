@@ -335,29 +335,41 @@ func (r *Result) Record() (*store.CampaignRecord, error) {
 		Workload: r.Workload,
 	}
 	for _, p := range r.Points {
-		rec.Results = append(rec.Results, store.MeasuredPoint{
-			Config:     p.Config.Key(),
-			Label:      p.Config.String(),
-			Seconds:    p.TrueSeconds,
-			DynPowerW:  p.MeasuredEnergyJ / p.TrueSeconds,
-			DynEnergyJ: p.MeasuredEnergyJ,
-			Attempts:   p.Attempts,
-		})
+		rec.Results = append(rec.Results, measuredPoint(p))
 	}
 	for _, f := range r.Failed {
-		msg := "unknown error"
-		if f.Err != nil {
-			msg = f.Err.Error()
-		}
-		rec.Failed = append(rec.Failed, store.FailedPoint{
-			Config:   f.Config.Key(),
-			Label:    f.Config.String(),
-			Attempts: f.Attempts,
-			Error:    msg,
-		})
+		rec.Failed = append(rec.Failed, failedPoint(f))
 	}
 	if err := rec.Validate(); err != nil {
 		return nil, err
 	}
 	return rec, nil
+}
+
+// measuredPoint maps a measured point to its record entry: measured
+// energy with model-true time.
+func measuredPoint(p PointReport) store.MeasuredPoint {
+	return store.MeasuredPoint{
+		Config:     p.Config.Key(),
+		Label:      p.Config.String(),
+		Seconds:    p.TrueSeconds,
+		DynPowerW:  p.MeasuredEnergyJ / p.TrueSeconds,
+		DynEnergyJ: p.MeasuredEnergyJ,
+		Attempts:   p.Attempts,
+	}
+}
+
+// failedPoint maps a given-up point to its record entry, with the final
+// error text (or "unknown error" when the failure carries none).
+func failedPoint(f PointFailure) store.FailedPoint {
+	msg := "unknown error"
+	if f.Err != nil {
+		msg = f.Err.Error()
+	}
+	return store.FailedPoint{
+		Config:   f.Config.Key(),
+		Label:    f.Config.String(),
+		Attempts: f.Attempts,
+		Error:    msg,
+	}
 }

@@ -1,10 +1,9 @@
 package campaign
 
 import (
+	"encoding/json"
 	"errors"
 	"io"
-	"sync"
-	"sync/atomic"
 
 	"energyprop/internal/device"
 	"energyprop/internal/parindex"
@@ -22,7 +21,7 @@ import (
 //
 // Because delivery order equals configuration order on the local pool
 // at any worker count and on the fleet, everything downstream of a sink
-// (records, Pareto indexes, counters) is byte-identical across them,
+// (records, Pareto indexes) is byte-identical across them,
 // just as materialized results were.
 type Sink interface {
 	// Accept consumes one configuration's terminal outcome.
@@ -89,59 +88,59 @@ func (s *ResultSink) Flush() error { return nil }
 // Result returns the materialized campaign result.
 func (s *ResultSink) Result() *Result { return &s.res }
 
-// RecordSink streams outcomes into a store.CampaignWriter, producing a
-// campaign record without materializing the point slice. The field
-// mapping is exactly Result.Record's: measured energy with model-true
-// time for successes, the final error text (or "unknown error") for
-// failures. Flush closes the writer, which finishes the JSON document.
+// RecordSink collects outcomes into a store.CampaignRecord and writes
+// it once, at Flush: the indented layout through store.SaveCampaign, the
+// compact wire format through Validate and json.Encoder. A record is
+// bounded by the configuration count (a few thousand points at most),
+// and an aborted campaign never flushes, so nothing reaches the
+// destination unless the whole campaign completed. The field mapping is
+// exactly Result.Record's.
 type RecordSink struct {
-	W *store.CampaignWriter
+	dst     io.Writer
+	compact bool
+	rec     store.CampaignRecord
 }
 
-// NewRecordSink builds a streaming record sink writing to dst for a
-// campaign on dev. The workload is normalized before it enters the
-// record header, matching what the engine reports for materialized
-// results. compact selects the service wire format over SaveCampaign's
-// indented one.
+// NewRecordSink builds a record sink writing to dst for a campaign on
+// dev. The workload is normalized before it enters the record header,
+// matching what the engine reports for materialized results. compact
+// selects the service wire format over SaveCampaign's indented one.
 func NewRecordSink(dst io.Writer, dev device.Device, w device.Workload, compact bool) (*RecordSink, error) {
-	cw, err := store.NewCampaignWriter(dst, dev.Spec().CatalogName, dev.Kind(), w.Normalized())
-	if err != nil {
-		return nil, err
+	if dst == nil {
+		return nil, errors.New("campaign: nil record destination")
 	}
-	if compact {
-		cw.Compact()
-	}
-	return &RecordSink{W: cw}, nil
+	return &RecordSink{dst: dst, compact: compact, rec: store.CampaignRecord{
+		Version:  store.FormatVersion,
+		Device:   dev.Spec().CatalogName,
+		Kind:     dev.Kind(),
+		Workload: w.Normalized(),
+	}}, nil
 }
 
 // Accept implements Sink.
 func (s *RecordSink) Accept(o PointOutcome) error {
 	if o.Failure != nil {
-		f := o.Failure
-		msg := "unknown error"
-		if f.Err != nil {
-			msg = f.Err.Error()
-		}
-		return s.W.WriteFailed(store.FailedPoint{
-			Config:   f.Config.Key(),
-			Label:    f.Config.String(),
-			Attempts: f.Attempts,
-			Error:    msg,
-		})
+		s.rec.Failed = append(s.rec.Failed, failedPoint(*o.Failure))
+		return nil
 	}
-	p := o.Report
-	return s.W.WritePoint(store.MeasuredPoint{
-		Config:     p.Config.Key(),
-		Label:      p.Config.String(),
-		Seconds:    p.TrueSeconds,
-		DynPowerW:  p.MeasuredEnergyJ / p.TrueSeconds,
-		DynEnergyJ: p.MeasuredEnergyJ,
-		Attempts:   p.Attempts,
-	})
+	s.rec.Results = append(s.rec.Results, measuredPoint(o.Report))
+	return nil
 }
 
-// Flush implements Sink.
-func (s *RecordSink) Flush() error { return s.W.Close() }
+// Flush implements Sink: it validates and encodes the collected record.
+func (s *RecordSink) Flush() error {
+	if !s.compact {
+		return store.SaveCampaign(s.dst, &s.rec)
+	}
+	if err := s.rec.Validate(); err != nil {
+		return err
+	}
+	return json.NewEncoder(s.dst).Encode(&s.rec)
+}
+
+// Record returns the record collected so far; after a successful Flush
+// it is exactly what was written.
+func (s *RecordSink) Record() *store.CampaignRecord { return &s.rec }
 
 // IndexSink feeds measured points into an incremental Pareto-front
 // index under a fixed (device, workload) key. Failures pass through
@@ -183,63 +182,6 @@ func (s *IndexSink) Accept(o PointOutcome) error {
 
 // Flush implements Sink.
 func (s *IndexSink) Flush() error { return nil }
-
-// CountingSink tallies the stream for the observability plane: accepted
-// points, failures, total statistical runs, and whether the stream
-// flushed. Counters are atomic so concurrent readers (a metrics
-// endpoint polling mid-campaign) see consistent monotone values; the
-// engine itself never calls Accept concurrently.
-type CountingSink struct {
-	accepted atomic.Uint64
-	failed   atomic.Uint64
-	runs     atomic.Uint64
-	flushes  atomic.Uint64
-
-	mu       sync.Mutex
-	firstErr error // first failure's error, for degraded-status bodies
-}
-
-// Accept implements Sink.
-func (s *CountingSink) Accept(o PointOutcome) error {
-	if o.Failure != nil {
-		s.failed.Add(1)
-		s.mu.Lock()
-		if s.firstErr == nil && o.Failure.Err != nil {
-			s.firstErr = o.Failure.Err
-		}
-		s.mu.Unlock()
-		return nil
-	}
-	s.accepted.Add(1)
-	s.runs.Add(uint64(o.Report.Runs))
-	return nil
-}
-
-// Flush implements Sink.
-func (s *CountingSink) Flush() error {
-	s.flushes.Add(1)
-	return nil
-}
-
-// Accepted returns the number of measured points seen.
-func (s *CountingSink) Accepted() int { return int(s.accepted.Load()) }
-
-// Failed returns the number of failure outcomes seen.
-func (s *CountingSink) Failed() int { return int(s.failed.Load()) }
-
-// TotalRuns returns the summed statistical repetitions — the
-// campaign's cost.
-func (s *CountingSink) TotalRuns() int { return int(s.runs.Load()) }
-
-// Flushed reports whether the stream completed.
-func (s *CountingSink) Flushed() bool { return s.flushes.Load() > 0 }
-
-// FirstFailure returns the first failure outcome's error, if any.
-func (s *CountingSink) FirstFailure() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.firstErr
-}
 
 // FuncSink adapts a pair of closures to Sink; either may be nil.
 type FuncSink struct {

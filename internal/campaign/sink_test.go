@@ -3,8 +3,10 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"energyprop/internal/device"
@@ -146,9 +148,10 @@ func TestIndexSinkMatchesBatchFront(t *testing.T) {
 	}
 }
 
-// TestCountingSink checks the observability counters and first-failure
-// capture on a degraded campaign.
-func TestCountingSink(t *testing.T) {
+// TestRecordSinkRecord: on a degraded campaign the record the sink
+// collected agrees with the materialized result (counts, first failure)
+// and is exactly what Flush wrote in the compact wire format.
+func TestRecordSinkRecord(t *testing.T) {
 	plan := fault.Plan{Seed: 97, Transient: 0.25, Drop: 0.1}
 	dev, err := fault.Wrap(openDev(t, "haswell"), plan)
 	if err != nil {
@@ -162,21 +165,88 @@ func TestCountingSink(t *testing.T) {
 	spec := chaosSpec(31, 4, nil)
 	spec.Retry = fault.RetryPolicy{}
 
-	cs := &CountingSink{}
-	rs := NewResultSink(dev, w)
-	if err := Stream(context.Background(), dev, w, configs, spec, MultiSink{rs, cs}); err != nil {
+	var body bytes.Buffer
+	rs, err := NewRecordSink(&body, dev, w, true)
+	if err != nil {
 		t.Fatal(err)
 	}
-	res := rs.Result()
-	if cs.Accepted() != len(res.Points) || cs.Failed() != len(res.Failed) || cs.TotalRuns() != res.TotalRuns {
-		t.Errorf("counters (%d, %d, %d) != result (%d, %d, %d)",
-			cs.Accepted(), cs.Failed(), cs.TotalRuns(), len(res.Points), len(res.Failed), res.TotalRuns)
+	res := NewResultSink(dev, w)
+	if err := Stream(context.Background(), dev, w, configs, spec, MultiSink{rs, res}); err != nil {
+		t.Fatal(err)
 	}
-	if !cs.Flushed() {
-		t.Error("completed campaign did not flush")
+	rec, want := rs.Record(), res.Result()
+	if len(rec.Results) != len(want.Points) || len(rec.Failed) != len(want.Failed) {
+		t.Errorf("record (%d, %d) != result (%d, %d)",
+			len(rec.Results), len(rec.Failed), len(want.Points), len(want.Failed))
 	}
-	if cs.Failed() > 0 && cs.FirstFailure() == nil {
-		t.Error("failures counted but no first failure captured")
+	if len(want.Failed) == 0 {
+		t.Fatal("no failures injected — the first-failure check is vacuous")
+	}
+	if rec.Failed[0].Error != want.Failed[0].Err.Error() {
+		t.Errorf("first failure %q != %q", rec.Failed[0].Error, want.Failed[0].Err)
+	}
+	var enc bytes.Buffer
+	if err := json.NewEncoder(&enc).Encode(rec); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body.Bytes(), enc.Bytes()) {
+		t.Errorf("written record differs from the collected one\n got: %s\nwant: %s", body.Bytes(), enc.Bytes())
+	}
+}
+
+// failingWriter refuses every write.
+type failingWriter struct{}
+
+var errDiskFull = errors.New("disk full")
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errDiskFull }
+
+// TestRecordSinkWritesOnlyCompleteCampaigns: a destination that fails
+// to write fails the campaign through Flush in both layouts, an empty
+// campaign is refused before a byte is written, and a campaign aborted
+// by a point error writes nothing at all.
+func TestRecordSinkWritesOnlyCompleteCampaigns(t *testing.T) {
+	dev := openDev(t, "p100")
+	w := smallWorkload()
+	configs, err := dev.Configs(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, compact := range []bool{false, true} {
+		rs, err := NewRecordSink(failingWriter{}, dev, w, compact)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := Stream(context.Background(), dev, w, configs, DefaultSpec(31), rs); !errors.Is(err, errDiskFull) {
+			t.Errorf("compact=%v: err = %v, want the destination's error", compact, err)
+		}
+		var body bytes.Buffer
+		if rs, err = NewRecordSink(&body, dev, w, compact); err != nil {
+			t.Fatal(err)
+		}
+		if err := rs.Flush(); err == nil || !strings.Contains(err.Error(), "no results") || body.Len() != 0 {
+			t.Errorf("compact=%v: empty campaign: err = %v after %d bytes, want \"no results\" and no output", compact, err, body.Len())
+		}
+	}
+
+	fdev, err := fault.Wrap(openDev(t, "p100"), fault.Plan{Seed: 97, Transient: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 8} {
+		spec := DefaultSpec(31)
+		spec.Workers = workers
+		var body bytes.Buffer
+		rs, err := NewRecordSink(&body, fdev, w, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := Stream(context.Background(), fdev, w, configs, spec, rs); !errors.Is(err, fault.ErrTransient) {
+			t.Fatalf("workers=%d: err = %v, want an injected point error", workers, err)
+		}
+		if body.Len() != 0 {
+			t.Errorf("workers=%d: aborted campaign wrote %d bytes", workers, body.Len())
+		}
 	}
 }
 

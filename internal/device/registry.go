@@ -38,11 +38,9 @@ func Register(name string, factory func() (Device, error)) {
 // unknown name enumerates the known ones, so callers (and the HTTP 400
 // the service builds from it) are self-describing.
 func Open(name string) (Device, error) {
-	registry.mu.RLock()
-	factory, ok := registry.factories[name]
-	registry.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("device: unknown device %q (known: %s)", name, strings.Join(List(), ", "))
+	factory, err := factoryFor(name)
+	if err != nil {
+		return nil, err
 	}
 	d, err := factory()
 	if err != nil {
@@ -52,6 +50,25 @@ func Open(name string) (Device, error) {
 		return nil, fmt.Errorf("device: factory for %q returned nil", name)
 	}
 	return d, nil
+}
+
+// CheckName reports whether name is registered, with Open's error for
+// an unknown one, without building the device.
+func CheckName(name string) error {
+	_, err := factoryFor(name)
+	return err
+}
+
+// factoryFor returns the named factory, or the error that enumerates the
+// registered names.
+func factoryFor(name string) (func() (Device, error), error) {
+	registry.mu.RLock()
+	factory, ok := registry.factories[name]
+	registry.mu.RUnlock()
+	if !ok {
+		return nil, fmt.Errorf("device: unknown device %q (known: %s)", name, strings.Join(List(), ", "))
+	}
+	return factory, nil
 }
 
 // List returns the registered names in sorted (stable) order.

@@ -82,6 +82,7 @@ import (
 	"math"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
 
 	"energyprop/internal/campaign"
@@ -164,25 +165,14 @@ func checkLimits(req launch.Request) error {
 	return nil
 }
 
-// openDevice resolves a request's device name through the registry. Each
-// request gets a fresh instance so ablation state cannot leak between
-// calls; the error for an unknown name enumerates the registered ones.
-func openDevice(name string) (device.Device, error) {
+// checkDevice validates a request's device name against the registry
+// without building the device; the error for a missing or unknown name
+// enumerates the registered ones.
+func checkDevice(name string) error {
 	if name == "" {
-		return nil, fmt.Errorf("missing device name (known: %s)", deviceNames())
+		return fmt.Errorf("missing device name (known: %s)", strings.Join(device.List(), ", "))
 	}
-	return device.Open(name)
-}
-
-func deviceNames() string {
-	out := ""
-	for i, name := range device.List() {
-		if i > 0 {
-			out += ", "
-		}
-		out += name
-	}
-	return out
+	return device.CheckName(name)
 }
 
 // Server is the HTTP measurement service.
@@ -623,21 +613,16 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	// The sweep streams: outcomes fan out to a compact record writer
-	// (the response body is serialized as points commit, never holding a
-	// materialized []PointReport), the Pareto index behind /optimize, and
-	// the counters that drive the status decision. The record writer's
-	// compact output is byte-identical to encoding a materialized
-	// store.CampaignRecord, so clients see the exact same wire format the
-	// materialized path produced.
+	// Outcomes fan out to a compact record sink, which encodes the
+	// campaign once it completes, and to the Pareto index behind
+	// /optimize. The status decision reads the record the sink collected.
 	var body bytes.Buffer
 	rsink, err := campaign.NewRecordSink(&body, st.Device, st.Workload, true)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	counts := &campaign.CountingSink{}
-	sink := campaign.MultiSink{rsink, campaign.NewIndexSink(s.index, req.Device, st.Workload), counts}
+	sink := campaign.MultiSink{rsink, campaign.NewIndexSink(s.index, req.Device, st.Workload)}
 	if err := campaign.Stream(ctx, st.Device, st.Workload, st.Configs, s.campaignSpec(st, req.Nocache), sink); err != nil {
 		writeCampaignError(w, err)
 		return
@@ -646,26 +631,23 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if st.Spec.Fleet != nil {
 		setFleetHeaders(w, st.Spec.Fleet)
 	}
-	if n := counts.Failed(); n > 0 {
+	rec := rsink.Record()
+	if n := len(rec.Failed); n > 0 {
 		w.Header().Set("X-Points-Failed", strconv.Itoa(n))
 	}
-	if counts.Accepted() == 0 {
-		// No survivors: the buffered record (failures only) is discarded
-		// in favor of the explicit 502 body.
-		msg := "unknown error"
-		if ferr := counts.FirstFailure(); ferr != nil {
-			msg = ferr.Error()
-		}
+	if len(rec.Results) == 0 {
+		// No survivors: the record (failures only) is discarded in favor
+		// of the explicit 502 body.
 		writeJSON(w, http.StatusBadGateway, map[string]any{
-			"error":       fmt.Sprintf("all %d points failed", counts.Failed()),
-			"first_error": msg,
+			"error":       fmt.Sprintf("all %d points failed", len(rec.Failed)),
+			"first_error": rec.Failed[0].Error,
 		})
 		return
 	}
 	// Partial survival is a partial answer: 206 plus the failed section
 	// lets a client keep the survivors and re-request only the holes.
 	status := http.StatusOK
-	if counts.Failed() > 0 {
+	if len(rec.Failed) > 0 {
 		status = http.StatusPartialContent
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"energyprop/internal/device"
 	"energyprop/internal/pareto"
@@ -85,7 +86,9 @@ func (c *CampaignRecord) Points() []pareto.Point {
 	return out
 }
 
-// Validate checks structural integrity after loading.
+// Validate checks structural integrity. It is the one copy of the
+// record's rules: SaveCampaign runs it before encoding and LoadCampaign
+// after decoding.
 func (c *CampaignRecord) Validate() error {
 	if c.Version != FormatVersion {
 		return fmt.Errorf("store: unsupported format version %d (want %d)", c.Version, FormatVersion)
@@ -111,7 +114,7 @@ func (c *CampaignRecord) Validate() error {
 			return fmt.Errorf("store: duplicate config %q", r.Config)
 		}
 		seen[r.Config] = true
-		if r.Seconds <= 0 || r.DynEnergyJ <= 0 {
+		if !positiveFinite(r.Seconds) || !positiveFinite(r.DynEnergyJ) {
 			return fmt.Errorf("store: result %d (%s) has non-positive measurements", i, r.Config)
 		}
 		if r.Attempts < 0 {
@@ -136,9 +139,12 @@ func (c *CampaignRecord) Validate() error {
 	return nil
 }
 
+// positiveFinite reports x > 0 and x < +Inf. NaN fails the comparison,
+// so a non-finite measurement is rejected here rather than surfacing as
+// the encoder's opaque "unsupported value".
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+
 // SaveCampaign writes the record as indented JSON.
-//
-//lint:ignore deadexport the byte-identity reference that CampaignWriter and the campaign and fleet tests compare against
 func SaveCampaign(w io.Writer, rec *CampaignRecord) error {
 	if rec == nil {
 		return errors.New("store: nil record")
