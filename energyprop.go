@@ -28,6 +28,8 @@ package energyprop
 
 import (
 	"errors"
+	"fmt"
+	"math"
 
 	"energyprop/internal/cpusim"
 	"energyprop/internal/dense"
@@ -100,8 +102,7 @@ type (
 	// GPUResult is one GPU configuration's simulated outcome.
 	GPUResult = gpusim.Result
 	// SweepOptions tunes the parallel sweep engine behind
-	// GPUDevice.SweepContext and ClockSweepContext: worker bound and
-	// serialized per-configuration progress callbacks.
+	// GPUDevice.SweepContext and ClockSweepContext: the worker bound.
 	SweepOptions = gpusim.SweepOptions
 	// CPUMachine is the simulated dual-socket Haswell node.
 	CPUMachine = cpusim.Machine
@@ -176,6 +177,9 @@ func CheapestWithin(points []Point, maxDegradationPct float64) (Point, error) {
 	}
 	var front parindex.Front
 	for _, p := range points {
+		if math.IsNaN(p.Time) || math.IsInf(p.Time, 0) || math.IsNaN(p.Energy) || math.IsInf(p.Energy, 0) {
+			return Point{}, fmt.Errorf("energyprop: point %q has non-finite time %v or energy %v", p.Label, p.Time, p.Energy)
+		}
 		front.Insert(parindex.Entry{Label: p.Label, Time: p.Time, Energy: p.Energy})
 	}
 	fastest, _ := front.Fastest()

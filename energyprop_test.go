@@ -3,6 +3,7 @@ package energyprop_test
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"energyprop"
@@ -38,23 +39,19 @@ func TestFacadeQuickStartFlow(t *testing.T) {
 
 func TestFacadeParallelSweep(t *testing.T) {
 	// The parallel engine is reachable through the facade: an 8-worker
-	// sweep with progress callbacks matches the plain serial sweep.
+	// sweep matches the plain serial sweep.
 	dev := energyprop.NewK40c()
 	w := energyprop.MatMulWorkload{N: 10240, Products: 8}
 	serial, err := dev.Sweep(w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ticks := 0
-	par, err := dev.SweepContext(context.Background(), w, energyprop.SweepOptions{
-		Workers:  8,
-		Progress: func(done, total int) { ticks++ },
-	})
+	par, err := dev.SweepContext(context.Background(), w, energyprop.SweepOptions{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(par) != len(serial) || ticks != len(serial) {
-		t.Fatalf("parallel sweep: %d results, %d ticks, want %d", len(par), ticks, len(serial))
+	if len(par) != len(serial) {
+		t.Fatalf("parallel sweep: %d results, want %d", len(par), len(serial))
 	}
 	for i := range serial {
 		if *par[i] != *serial[i] {
@@ -179,17 +176,33 @@ func TestCheapestWithinTies(t *testing.T) {
 }
 
 func TestCheapestWithinErrors(t *testing.T) {
-	if _, err := energyprop.CheapestWithin(nil, 10); err == nil {
-		t.Error("no points: want error")
-	}
-	if _, err := energyprop.CheapestWithin([]energyprop.Point{{Time: 1, Energy: 1}}, -1); err == nil {
-		t.Error("negative budget: want error")
-	}
-	if _, err := energyprop.CheapestWithin([]energyprop.Point{{Time: 0, Energy: 1}}, 10); err == nil {
-		t.Error("zero time: want error")
-	}
-	if _, err := energyprop.CheapestWithin([]energyprop.Point{{Time: 1, Energy: 1}}, math.NaN()); err == nil {
-		t.Error("NaN budget: want error")
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name   string
+		pts    []energyprop.Point
+		pct    float64
+		wantIn string // substring the error must contain
+	}{
+		{"no points", nil, 10, "no points"},
+		{"negative budget", []energyprop.Point{{Time: 1, Energy: 1}}, -1, "budget"},
+		{"zero time", []energyprop.Point{{Time: 0, Energy: 1}}, 10, "non-positive"},
+		{"NaN budget", []energyprop.Point{{Time: 1, Energy: 1}}, nan, "budget"},
+		{"NaN time", []energyprop.Point{{Label: "a", Time: 1, Energy: 10}, {Label: "b", Time: nan, Energy: 5}, {Label: "c", Time: 2, Energy: 3}}, 100, `"b"`},
+		{"leading NaN time", []energyprop.Point{{Label: "b", Time: nan, Energy: 5}, {Label: "a", Time: 1, Energy: 10}}, 100, `"b"`},
+		{"NaN energy", []energyprop.Point{{Label: "a", Time: 1, Energy: 10}, {Label: "b", Time: 2, Energy: nan}}, 100, `"b"`},
+		{"+Inf time", []energyprop.Point{{Label: "a", Time: 1, Energy: 10}, {Label: "b", Time: inf, Energy: 5}}, 100, `"b"`},
+		{"+Inf energy", []energyprop.Point{{Label: "b", Time: 1, Energy: inf}, {Label: "a", Time: 2, Energy: 10}}, 100, `"b"`},
+		{"-Inf time", []energyprop.Point{{Label: "a", Time: 1, Energy: 10}, {Label: "b", Time: -inf, Energy: 5}}, 100, `"b"`},
+		{"-Inf energy", []energyprop.Point{{Label: "a", Time: 1, Energy: 10}, {Label: "b", Time: 2, Energy: -inf}}, 100, `"b"`},
+	} {
+		got, err := energyprop.CheapestWithin(tc.pts, tc.pct)
+		if err == nil {
+			t.Errorf("%s: got %+v, want an error", tc.name, got)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.wantIn) {
+			t.Errorf("%s: error %q does not mention %s", tc.name, err, tc.wantIn)
+		}
 	}
 }
 

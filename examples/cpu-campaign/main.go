@@ -79,8 +79,9 @@ func main() {
 	}
 
 	// The index answers the operator's question directly — fastest
-	// decomposition within a dynamic-energy budget — in O(log n), the
-	// same query path the measurement service's /optimize endpoint uses.
+	// decomposition within a dynamic-energy budget — with one binary
+	// search over the front, the same query path the measurement
+	// service's /optimize endpoint uses.
 	budget := 0.9 * fp.MeasuredEnergyJ
 	if e, _, ok := index.Best(idxSink.Key, parindex.Query{MaxEnergy: budget}); ok {
 		fmt.Printf("fastest within a %.1fJ budget: %-24s t=%.4fs E=%.1fJ (from the incremental index)\n",

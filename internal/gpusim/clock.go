@@ -54,14 +54,8 @@ func (d *Device) ClockSweep(w MatMulWorkload, c MatMulConfig) ([]*Result, []floa
 // fan out across workers and the results come back in level order.
 func (d *Device) ClockSweepContext(ctx context.Context, w MatMulWorkload, c MatMulConfig, opt SweepOptions) ([]*Result, []float64, error) {
 	levels := d.ClockLevels()
-	prog := parallel.NewProgress(len(levels), opt.Progress)
 	out, err := parallel.Map(ctx, opt.Workers, len(levels), func(_ context.Context, i int) (*Result, error) {
-		r, err := d.RunMatMulAtClock(w, c, levels[i])
-		if err != nil {
-			return nil, err
-		}
-		prog.Tick()
-		return r, nil
+		return d.RunMatMulAtClock(w, c, levels[i])
 	})
 	if err != nil {
 		return nil, nil, err

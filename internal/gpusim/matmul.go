@@ -165,10 +165,6 @@ type SweepOptions struct {
 	// 0 (or negative) selects runtime.GOMAXPROCS; 1 forces the serial
 	// reference path.
 	Workers int
-	// Progress, if non-nil, is called once per completed configuration
-	// with the running completion count. Calls are serialized by the
-	// engine, so the callback needs no locking of its own.
-	Progress func(done, total int)
 }
 
 // Sweep runs every valid configuration of the workload and returns the
@@ -179,10 +175,9 @@ func (d *Device) Sweep(w MatMulWorkload) ([]*Result, error) {
 	return d.SweepContext(context.Background(), w, SweepOptions{})
 }
 
-// SweepContext is Sweep with context cancellation, a configurable worker
-// bound, and per-configuration progress callbacks. Results are always
-// reassembled in canonical enumeration order (by BS, then G), whatever
-// the completion order of the workers.
+// SweepContext is Sweep with context cancellation and a configurable
+// worker bound. Results are always reassembled in canonical enumeration
+// order (by BS, then G), whatever the completion order of the workers.
 func (d *Device) SweepContext(ctx context.Context, w MatMulWorkload, opt SweepOptions) ([]*Result, error) {
 	configs, err := d.EnumerateConfigs(w)
 	if err != nil {
@@ -191,13 +186,7 @@ func (d *Device) SweepContext(ctx context.Context, w MatMulWorkload, opt SweepOp
 	if len(configs) == 0 {
 		return nil, fmt.Errorf("gpusim: workload %+v admits no valid configuration", w)
 	}
-	prog := parallel.NewProgress(len(configs), opt.Progress)
 	return parallel.Map(ctx, opt.Workers, len(configs), func(_ context.Context, i int) (*Result, error) {
-		r, err := d.RunMatMul(w, configs[i])
-		if err != nil {
-			return nil, err
-		}
-		prog.Tick()
-		return r, nil
+		return d.RunMatMul(w, configs[i])
 	})
 }

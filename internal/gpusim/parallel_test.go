@@ -3,7 +3,6 @@ package gpusim
 import (
 	"context"
 	"errors"
-	"sync/atomic"
 	"testing"
 )
 
@@ -39,31 +38,6 @@ func TestSweepContextCancelled(t *testing.T) {
 	_, err := NewP100().SweepContext(ctx, MatMulWorkload{N: 10240, Products: 8}, SweepOptions{Workers: 4})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-func TestSweepContextProgress(t *testing.T) {
-	dev := NewP100()
-	w := MatMulWorkload{N: 4096, Products: 4}
-	configs, err := dev.EnumerateConfigs(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ticks atomic.Int64
-	_, err = dev.SweepContext(context.Background(), w, SweepOptions{
-		Workers: 4,
-		Progress: func(done, total int) {
-			ticks.Add(1)
-			if total != len(configs) || done < 1 || done > total {
-				t.Errorf("progress (%d, %d) out of range", done, total)
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int(ticks.Load()) != len(configs) {
-		t.Errorf("%d progress ticks, want %d", ticks.Load(), len(configs))
 	}
 }
 

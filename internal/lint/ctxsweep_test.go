@@ -71,8 +71,8 @@ func sweepInternal(n int) ([]int, error) {
 }
 
 // Exported code that only uses non-fan-out parallel helpers needs no ctx.
-func Progressive(total int) *parallel.Progress {
-	return parallel.NewProgress(total, nil)
+func Progressive(total int) int {
+	return parallel.DefaultWorkers(0, total)
 }
 `
 	checkFixture(t, []Rule{CtxSweep{}}, "fixture/sweep", src, nil)

@@ -20,7 +20,6 @@ package parallel
 import (
 	"context"
 	"runtime"
-	"sync"
 )
 
 // DefaultWorkers resolves a worker-count request: values < 1 mean "one
@@ -63,32 +62,4 @@ func Map[T any](ctx context.Context, workers, n int, fn func(ctx context.Context
 		return nil, err
 	}
 	return out, nil
-}
-
-// Progress serializes progress callbacks from concurrent workers: it
-// counts completions and invokes the wrapped callback under a mutex, so
-// callers can hand the pool a plain closure without their own locking.
-type Progress struct {
-	mu    sync.Mutex
-	done  int
-	total int
-	fn    func(done, total int)
-}
-
-// NewProgress wraps fn (which may be nil) for total items.
-func NewProgress(total int, fn func(done, total int)) *Progress {
-	return &Progress{total: total, fn: fn}
-}
-
-// Tick records one completed item and reports it to the callback. The
-// callback runs under the mutex, so calls never overlap and their done
-// counts arrive in increasing order.
-func (p *Progress) Tick() {
-	if p == nil || p.fn == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.done++
-	p.fn(p.done, p.total)
 }

@@ -156,63 +156,3 @@ func TestDefaultWorkers(t *testing.T) {
 		t.Errorf("DefaultWorkers(-5, 0) = %d, want 1", got)
 	}
 }
-
-func TestProgressSerializedAndComplete(t *testing.T) {
-	var mu sync.Mutex
-	var dones []int
-	p := NewProgress(40, func(done, total int) {
-		mu.Lock()
-		defer mu.Unlock()
-		if total != 40 {
-			t.Errorf("total = %d", total)
-		}
-		dones = append(dones, done)
-	})
-	_, err := Map(context.Background(), 8, 40, func(_ context.Context, i int) (int, error) {
-		p.Tick()
-		return i, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dones) != 40 {
-		t.Fatalf("%d progress ticks, want 40", len(dones))
-	}
-	seen := make(map[int]bool)
-	for _, d := range dones {
-		if d < 1 || d > 40 || seen[d] {
-			t.Fatalf("bad done sequence %v", dones)
-		}
-		seen[d] = true
-	}
-}
-
-func TestProgressCallbackNeedsNoLocking(t *testing.T) {
-	// The callback mutates plain locals: Tick must serialize the calls
-	// (race-clean under -race) and deliver done counts in order.
-	calls, last := 0, 0
-	inOrder := true
-	p := NewProgress(200, func(done, total int) {
-		calls++
-		if done != last+1 {
-			inOrder = false
-		}
-		last = done
-	})
-	_, err := Map(context.Background(), 8, 200, func(_ context.Context, i int) (int, error) {
-		p.Tick()
-		return i, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 200 || !inOrder {
-		t.Errorf("%d callbacks, in order %v; want 200 in order", calls, inOrder)
-	}
-}
-
-func TestProgressNilSafe(t *testing.T) {
-	var p *Progress
-	p.Tick() // must not panic
-	NewProgress(3, nil).Tick()
-}

@@ -3,11 +3,14 @@
 // GET /optimize. Where internal/pareto recomputes fronts from a
 // materialized []Point batch, parindex absorbs points one at a time —
 // as campaign sinks deliver them — and keeps, per (device, workload)
-// key, only the current non-dominated set in a balanced order-statistic
-// tree. Insert is O(log n) amortized (each point enters and leaves the
+// key, only the current non-dominated set in one sorted slice. Fronts
+// are short: the largest registered one holds 30 entries (hetero,
+// N=1024, P=64, of 2145 configurations), p100 at N=10240 holds 3 of
+// 110, and haswell 2 to 3 of 258. So Insert is two binary searches plus a
+// copy of at most the whole front (each point enters and leaves the
 // front at most once), and constraint queries ("cheapest config within
-// a time budget", "fastest config within an energy budget") are
-// O(log n) descents.
+// a time budget", "fastest config within an energy budget") are one
+// binary search.
 //
 // The front invariant: entries are kept sorted by strictly increasing
 // time, and along that order energy is strictly decreasing. Any point
@@ -19,7 +22,7 @@
 package parindex
 
 import (
-	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -40,117 +43,21 @@ type Entry struct {
 	Energy float64 `json:"dyn_energy_j"`
 }
 
-// node is one treap node. The treap is keyed by Time (BST order) with
-// deterministic hash-derived priorities (heap order), so the tree shape
-// is a pure function of the inserted set — no RNG, no nodeterm finding.
-type node struct {
-	e           Entry
-	prio        uint64
-	left, right *node
-}
-
-// prioFor derives a node's heap priority from its coordinates and
-// config key via inline FNV-1a. Hash priorities give the expected
-// O(log n) treap depth without math/rand, keeping the tree shape
-// deterministic for a given point set.
-func prioFor(e Entry) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xff
-			h *= prime64
-		}
-	}
-	mix(math.Float64bits(e.Time))
-	mix(math.Float64bits(e.Energy))
-	for i := 0; i < len(e.Config); i++ {
-		h ^= uint64(e.Config[i])
-		h *= prime64
-	}
-	return h
-}
-
-// Front is one incrementally-maintained 2-D Pareto front. The zero
+// Front is one incrementally-maintained 2-D Pareto front: a slice held
+// at strictly increasing Time and strictly decreasing Energy. The zero
 // value is an empty front ready for use. Front is not safe for
 // concurrent use; Index adds the locking for the serving path.
 type Front struct {
-	root *node
-	size int
+	es []Entry
 }
 
 // Len returns the number of non-dominated entries currently held.
-func (f *Front) Len() int { return f.size }
+func (f *Front) Len() int { return len(f.es) }
 
-// merge joins two treaps where every key in a precedes every key in b.
-func merge(a, b *node) *node {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	if a.prio >= b.prio {
-		a.right = merge(a.right, b)
-		return a
-	}
-	b.left = merge(a, b.left)
-	return b
-}
-
-// splitLT splits t into (keys with Time < cut, keys with Time >= cut).
-func splitLT(t *node, cut float64) (lt, ge *node) {
-	if t == nil {
-		return nil, nil
-	}
-	if t.e.Time < cut {
-		l, g := splitLT(t.right, cut)
-		t.right = l
-		return t, g
-	}
-	l, g := splitLT(t.left, cut)
-	t.left = g
-	return l, t
-}
-
-// floor returns the entry with the greatest Time <= t, if any.
-func (f *Front) floor(t float64) (Entry, bool) {
-	var best *node
-	for n := f.root; n != nil; {
-		if n.e.Time <= t {
-			best = n
-			n = n.right
-		} else {
-			n = n.left
-		}
-	}
-	if best == nil {
-		return Entry{}, false
-	}
-	return best.e, true
-}
-
-// firstWithin returns the leftmost (fastest) entry with Energy <=
-// maxE. Because energy strictly decreases along the time order, the
-// qualifying entries form a suffix of the front, and the boundary is
-// found in one O(log n) descent.
-func (f *Front) firstWithin(maxE float64) (Entry, bool) {
-	var best *node
-	for n := f.root; n != nil; {
-		if n.e.Energy <= maxE {
-			best = n
-			n = n.left
-		} else {
-			n = n.right
-		}
-	}
-	if best == nil {
-		return Entry{}, false
-	}
-	return best.e, true
+// within returns how many entries have Time <= t; when positive,
+// es[within-1] is the slowest, and so the cheapest, of them.
+func (f *Front) within(t float64) int {
+	return sort.Search(len(f.es), func(i int) bool { return f.es[i].Time > t })
 }
 
 // Insert offers a point to the front. It returns true if the point was
@@ -158,69 +65,34 @@ func (f *Front) firstWithin(maxE float64) (Entry, bool) {
 // it. Admitting a point evicts any entries it dominates. An exact
 // (time, energy) duplicate keeps the incumbent entry — the same
 // first-encountered collapse pareto.Ranks applies — and reports false.
+// Coordinates must be comparable numbers (no NaN).
 func (f *Front) Insert(e Entry) bool {
-	// Reject anything a predecessor (faster-or-equal, cheaper-or-equal)
-	// already covers. floor finds the slowest entry with Time <= e.Time;
-	// by the decreasing-energy invariant it is also the cheapest such
-	// entry, so it alone decides dominance.
-	if p, ok := f.floor(e.Time); ok && p.Energy <= e.Energy {
+	// The slowest entry with Time <= e.Time is also the cheapest such
+	// entry, so it alone decides whether e is dominated.
+	i := f.within(e.Time)
+	if i > 0 && f.es[i-1].Energy <= e.Energy {
 		return false
 	}
-	// e survives. Among entries with Time >= e.Time, exactly those with
-	// Energy >= e.Energy are now dominated — and by the
-	// decreasing-energy invariant they form a contiguous prefix of the
-	// split-off right part.
-	lt, ge := splitLT(f.root, e.Time)
-	for ge != nil && ge.leftmost().e.Energy >= e.Energy {
-		ge = ge.deleteLeftmost()
-		f.size--
+	// e survives. Exactly the entries with Time >= e.Time and
+	// Energy >= e.Energy are now dominated, and by the invariant they
+	// form one run starting at the first entry with Time >= e.Time.
+	lo := sort.Search(i, func(j int) bool { return f.es[j].Time >= e.Time })
+	hi := lo
+	for hi < len(f.es) && f.es[hi].Energy >= e.Energy {
+		hi++
 	}
-	n := &node{e: e, prio: prioFor(e)}
-	f.root = merge(merge(lt, n), ge)
-	f.size++
+	f.es = slices.Replace(f.es, lo, hi, e)
 	return true
 }
 
-// leftmost returns the minimum-Time node of a non-nil subtree.
-func (n *node) leftmost() *node {
-	for n.left != nil {
-		n = n.left
-	}
-	return n
-}
-
-// deleteLeftmost removes the minimum-Time node and returns the new
-// subtree root.
-func (n *node) deleteLeftmost() *node {
-	if n.left == nil {
-		return n.right
-	}
-	n.left = n.left.deleteLeftmost()
-	return n
-}
-
-// Entries returns the front in increasing-time order.
-func (f *Front) Entries() []Entry {
-	out := make([]Entry, 0, f.size)
-	var walk func(*node)
-	walk = func(n *node) {
-		if n == nil {
-			return
-		}
-		walk(n.left)
-		out = append(out, n.e)
-		walk(n.right)
-	}
-	walk(f.root)
-	return out
-}
+// Entries returns a copy of the front in increasing-time order.
+func (f *Front) Entries() []Entry { return slices.Clone(f.es) }
 
 // Points returns the front as pareto.Points in increasing-time order,
 // for handing to the batch analysis helpers (TradeOffs, Hypervolume).
 func (f *Front) Points() []pareto.Point {
-	es := f.Entries()
-	out := make([]pareto.Point, len(es))
-	for i, e := range es {
+	out := make([]pareto.Point, len(f.es))
+	for i, e := range f.es {
 		out[i] = pareto.Point{Label: e.Label, Time: e.Time, Energy: e.Energy}
 	}
 	return out
@@ -243,29 +115,32 @@ func (f *Front) Best(q Query) (Entry, bool) {
 	if q.MaxTime > 0 {
 		// Minimum energy within the time budget is the slowest
 		// qualifying entry (energy decreases with time along the front).
-		e, ok := f.floor(q.MaxTime)
-		if !ok {
+		i := f.within(q.MaxTime)
+		if i == 0 || (q.MaxEnergy > 0 && f.es[i-1].Energy > q.MaxEnergy) {
 			return Entry{}, false
 		}
-		if q.MaxEnergy > 0 && e.Energy > q.MaxEnergy {
-			return Entry{}, false
-		}
-		return e, true
+		return f.es[i-1], true
 	}
 	if q.MaxEnergy > 0 {
-		return f.firstWithin(q.MaxEnergy)
+		// The entries within the energy budget are a suffix of the
+		// front; its first is the fastest.
+		i := sort.Search(len(f.es), func(i int) bool { return f.es[i].Energy <= q.MaxEnergy })
+		if i == len(f.es) {
+			return Entry{}, false
+		}
+		return f.es[i], true
 	}
 	return Entry{}, false
 }
 
-// Fastest returns the front's leftmost entry: the minimum time, which
-// by the front invariant is also the lower energy of any time tie. ok
-// is false when the front is empty.
+// Fastest returns the front's first entry: the minimum time, which by
+// the front invariant is also the lower energy of any time tie. ok is
+// false when the front is empty.
 func (f *Front) Fastest() (Entry, bool) {
-	if f.root == nil {
+	if len(f.es) == 0 {
 		return Entry{}, false
 	}
-	return f.root.leftmost().e, true
+	return f.es[0], true
 }
 
 // Key addresses one front in an Index: a device's registry name plus
@@ -341,7 +216,7 @@ func (x *Index) Best(k Key, q Query) (e Entry, frontSize int, ok bool) {
 		return Entry{}, 0, false
 	}
 	e, ok = f.Best(q)
-	frontSize = f.size
+	frontSize = f.Len()
 	x.mu.RUnlock()
 	if ok {
 		x.hits.Add(1)
@@ -397,7 +272,7 @@ func (x *Index) Stats() Stats {
 		Hits:     x.hits.Load(),
 	}
 	for _, f := range x.fronts {
-		s.Entries += f.size
+		s.Entries += f.Len()
 	}
 	return s
 }

@@ -114,25 +114,56 @@ func TestFrontInvariant(t *testing.T) {
 	}
 }
 
+// TestInsertReturnValue feeds one front a sequence of points and checks
+// each insert's verdict and the front it leaves behind.
 func TestInsertReturnValue(t *testing.T) {
 	var f Front
-	if !f.Insert(Entry{Config: "a", Time: 2, Energy: 10}) {
-		t.Fatal("first insert rejected")
+	for i, tc := range []struct {
+		e     Entry
+		want  bool
+		front []string // configs held after the insert, fastest first
+	}{
+		{Entry{Config: "a", Time: 2, Energy: 10}, true, []string{"a"}},
+		{Entry{Config: "b", Time: 3, Energy: 10}, false, []string{"a"}},     // dominated
+		{Entry{Config: "dup", Time: 2, Energy: 10}, false, []string{"a"}},   // exact duplicate keeps the incumbent
+		{Entry{Config: "hot", Time: 2, Energy: 12}, false, []string{"a"}},   // time tie, higher energy
+		{Entry{Config: "cool", Time: 2, Energy: 8}, true, []string{"cool"}}, // time tie, lower energy replaces
+		{Entry{Config: "slow", Time: 4, Energy: 3}, true, []string{"cool", "slow"}},
+		{Entry{Config: "c", Time: 1, Energy: 5}, true, []string{"c", "slow"}}, // dominating point evicts
+	} {
+		if got := f.Insert(tc.e); got != tc.want {
+			t.Fatalf("step %d: Insert(%+v) = %v want %v", i, tc.e, got, tc.want)
+		}
+		var got []string
+		for _, e := range f.Entries() {
+			got = append(got, e.Config)
+		}
+		if !reflect.DeepEqual(got, tc.front) || f.Len() != len(tc.front) {
+			t.Fatalf("step %d: front %v (Len %d) want %v", i, got, f.Len(), tc.front)
+		}
 	}
-	if f.Insert(Entry{Config: "b", Time: 3, Energy: 10}) {
-		t.Fatal("dominated point admitted")
+}
+
+// TestEntriesIsACopy: writing to the slice Entries returns must not
+// reach the front.
+func TestEntriesIsACopy(t *testing.T) {
+	want := []Entry{{Config: "a", Time: 1, Energy: 10}, {Config: "b", Time: 2, Energy: 5}}
+	var f Front
+	for _, e := range want {
+		f.Insert(e)
 	}
-	if f.Insert(Entry{Config: "dup", Time: 2, Energy: 10}) {
-		t.Fatal("exact duplicate admitted")
+	es := f.Entries()
+	for i := range es {
+		es[i] = Entry{Config: "x", Time: 100, Energy: 100}
 	}
-	if got := f.Entries()[0].Config; got != "a" {
-		t.Fatalf("duplicate displaced incumbent: %q", got)
+	if got := f.Entries(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Entries() after mutating a copy = %v want %v", got, want)
 	}
-	if !f.Insert(Entry{Config: "c", Time: 1, Energy: 5}) {
-		t.Fatal("dominating point rejected")
+	if e, ok := f.Best(Query{MaxTime: 1.5}); !ok || e.Config != "a" {
+		t.Fatalf("Best after mutating a copy = %+v,%v want a", e, ok)
 	}
-	if f.Len() != 1 {
-		t.Fatalf("dominating insert should evict: len=%d", f.Len())
+	if f.Len() != 2 {
+		t.Fatalf("Len() after mutating a copy = %d want 2", f.Len())
 	}
 }
 
@@ -195,7 +226,7 @@ func scanBest(es []Entry, q Query) (Entry, bool) {
 	return want, wantOK
 }
 
-// TestBestAgainstLinearScan cross-checks the treap descents against a
+// TestBestAgainstLinearScan cross-checks the binary searches against a
 // brute-force scan on random fronts and random constraints. Each trial
 // also feeds a random subset of the front into a fresh Front — the
 // shape of the /optimize policy filter's input — and checks that every

@@ -13,8 +13,8 @@ import (
 
 // BenchmarkOptimizeQuery drives the /optimize serving path at high
 // concurrency against an index populated by a real sweep. The endpoint
-// answers from the incremental Pareto index — O(log n) treap queries,
-// no device work — so its tail latency is what makes "ask the service
+// answers from the incremental Pareto index — one binary search over a
+// sorted front, no device work — so its tail latency is what makes "ask the service
 // instead of re-measuring" viable; the benchmark reports the measured
 // p99 across all goroutines as the custom p99-ns metric (ns/op is the
 // mean). The sub-millisecond p99 claim in DESIGN.md reads off this
@@ -32,8 +32,8 @@ func BenchmarkOptimizeQuery(b *testing.B) {
 		b.Fatalf("seeding sweep: status %d: %s", seed.Code, seed.Body.String())
 	}
 
-	// Two query shapes alternate per op: an energy budget (firstWithin)
-	// and a time bound (floor), the endpoint's two constraint paths. The
+	// Two query shapes alternate per op: an energy budget and a time
+	// bound, the endpoint's two constraint paths. The
 	// loose bounds keep both feasible so every request is a 200.
 	urls := [2]string{
 		"/optimize?device=p100&n=4096&products=2&max_energy=1e12",

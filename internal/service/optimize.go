@@ -74,7 +74,7 @@ func queryInt(r *http.Request, name string) (int, bool, error) {
 
 // handleOptimize answers a constraint query from the incremental Pareto
 // index — the serving path of the streaming pipeline. No measurement
-// runs: the answer is a treap lookup over fronts that /measure and
+// runs: the answer is a binary search over fronts that /measure and
 // /sweep campaigns populated earlier in the process lifetime.
 //
 //	GET /optimize?device=p100&n=10240&products=8&max_energy=120
